@@ -40,13 +40,15 @@ fuzz-smoke:
 conformance:
 	go test -race -count=1 ./internal/testkit/...
 
-# Kernel microbenchmarks, emitted as a BENCH JSON report (see METRICS.md).
+# Kernel and scheduler microbenchmarks, emitted as a BENCH JSON report (see
+# METRICS.md).
 # The committed BENCH_kernels.json doubles as the baseline: benchfmt reads it
 # before overwriting, prints per-benchmark deltas, and BENCH_REGRESS (a
 # percentage, empty = off) turns the comparison into a hard gate.
 bench:
 	go test -run='^$$' -bench=. -benchmem \
 		./internal/tensor/... ./internal/nn/... ./internal/grad/... ./internal/wire/... \
+		./internal/simclock/... \
 		| go run ./cmd/dlion-benchfmt -out BENCH_kernels.json \
 			-baseline BENCH_kernels.json -regress '$(or $(BENCH_REGRESS),0)'
 

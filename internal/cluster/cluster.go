@@ -309,12 +309,9 @@ func Run(cfg Config) (*Result, error) {
 		inj:      fault.NewInjector(cfg.Faults),
 		egress:   make([]float64, cfg.N),
 	}
-	models := make([]*nn.Model, cfg.N)
 	spec := cfg.Model
 	spec.Seed = cfg.Seed + 1000 // all replicas share this seed: identical init
-	for i := range models {
-		models[i] = spec.Build()
-	}
+	models := spec.Replicas(cfg.N)
 	env.wireScale = float64(spec.ExchangeBytes()) / float64(models[0].SizeBytes())
 	if env.wireScale < 1 {
 		env.wireScale = 1
@@ -431,7 +428,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.TracePeriod > 0 {
 		env.eng.Every(cfg.TracePeriod, trace, nil)
 	}
-	scheduleFaults(env, models, spec)
+	scheduleFaults(env, models)
 	for i, w := range env.workers {
 		if !joiners[i] {
 			w.Start()
@@ -497,10 +494,12 @@ func sampleTrace(workers []*core.Worker, t float64) Trace {
 // scheduleFaults arms the crash/restart timeline and the periodic
 // checkpoint loop on the event engine. A crashed worker is Stop()ped (its
 // timers die, traffic to it is dropped); at restart its replica is restored
-// from the latest checkpoint — or rebuilt from the spec when none exists
-// yet — and Resume re-syncs it by pulling a full weight snapshot from the
-// freshest live peer (the rejoin path).
-func scheduleFaults(env *simEnv, models []*nn.Model, spec nn.Spec) {
+// from the latest checkpoint — or reset to the shared initial weights when
+// none exists yet — and Resume re-syncs it by pulling a full weight
+// snapshot from the freshest live peer (the rejoin path). It must run
+// before training starts, while the replicas still hold their initial
+// weights.
+func scheduleFaults(env *simEnv, models []*nn.Model) {
 	if period := env.inj.CheckpointPeriod(); period > 0 {
 		ckpts := make([][]byte, len(models))
 		env.eng.Every(period, func() {
@@ -548,8 +547,14 @@ func scheduleFaults(env *simEnv, models []*nn.Model, spec nn.Spec) {
 			env.inj.LeaveExecuted()
 		})
 	}
+	// initial snapshots the common initial weights for cold restarts, taken
+	// only when a crash schedules one.
+	var initial []byte
 	for _, cr := range env.inj.Crashes() {
 		cr := cr
+		if cr.RestartAfter > 0 && initial == nil {
+			initial = models[0].Checkpoint()
+		}
 		env.eng.At(cr.At, func() {
 			w := env.workers[cr.Worker]
 			if w.Stopped() {
@@ -561,14 +566,14 @@ func scheduleFaults(env *simEnv, models []*nn.Model, spec nn.Spec) {
 				return
 			}
 			env.eng.After(cr.RestartAfter, func() {
+				// Restore the latest checkpoint, or cold-restart from the
+				// initial weights when none exists yet. Restore errors
+				// cannot occur: the same spec produced both.
+				ckpt := initial
 				if env.ckpts != nil && env.ckpts[cr.Worker] != nil {
-					// ignore restore errors: same spec produced the
-					// checkpoint, so they cannot occur
-					_ = models[cr.Worker].Restore(env.ckpts[cr.Worker])
-				} else {
-					// no checkpoint yet: cold restart from a fresh replica
-					_ = models[cr.Worker].CopyWeightsFrom(spec.Build())
+					ckpt = env.ckpts[cr.Worker]
 				}
+				_ = models[cr.Worker].Restore(ckpt)
 				env.inj.RestartExecuted()
 				w.Resume(freshestLivePeer(env.workers, cr.Worker))
 			})

@@ -40,10 +40,31 @@ func MobileNetLiteSpec(channels, h, w, classes int, seed uint64) Spec {
 		Classes: classes, Seed: seed, WireBytes: 17 << 20}
 }
 
-// Build constructs the model. Unknown kinds panic (specs are authored in
-// code, not parsed from input).
-func (s Spec) Build() *Model {
-	rng := stats.NewRNG(s.Seed)
+// Build constructs the model with its He-normal initial weights drawn from
+// the spec's seed. Unknown kinds panic (specs are authored in code, not
+// parsed from input).
+func (s Spec) Build() *Model { return s.build(stats.NewRNG(s.Seed)) }
+
+// Replicas returns n models, each bit-identical to Build's. The He init is
+// drawn once; the other n-1 models are built without drawing and copy the
+// first one's weights, which is several times cheaper than n Builds.
+func (s Spec) Replicas(n int) []*Model {
+	if n <= 0 {
+		return nil
+	}
+	ms := make([]*Model, n)
+	ms[0] = s.Build()
+	for i := 1; i < n; i++ {
+		ms[i] = s.build(nil)
+		_ = ms[i].CopyWeightsFrom(ms[0]) // same spec: shapes always match
+	}
+	return ms
+}
+
+// build constructs the model, He-initialising its weights from rng. A nil
+// rng leaves every weight zero, for models whose weights are about to be
+// overwritten or whose size is all that is needed.
+func (s Spec) build(rng *stats.RNG) *Model {
 	switch s.Kind {
 	case "cipher":
 		return buildCipher(s, rng)
@@ -60,7 +81,7 @@ func (s Spec) ExchangeBytes() int {
 	if s.WireBytes > 0 {
 		return s.WireBytes
 	}
-	return s.Build().SizeBytes()
+	return s.build(nil).SizeBytes()
 }
 
 // buildCipher assembles the Cipher CNN: conv(10)-relu-pool,

@@ -152,6 +152,44 @@ func TestModelDeterministicBuild(t *testing.T) {
 	}
 }
 
+// TestReplicasMatchBuild pins Spec.Replicas to Spec.Build: every replica
+// must carry Build's weights bit for bit, in storage of its own.
+func TestReplicasMatchBuild(t *testing.T) {
+	for _, s := range []Spec{
+		CipherSpec(1, 16, 16, 10, 99),
+		MobileNetLiteSpec(3, 16, 16, 100, 7),
+	} {
+		want := s.Build()
+		reps := s.Replicas(4)
+		if len(reps) != 4 {
+			t.Fatalf("%s: %d replicas, want 4", s.Kind, len(reps))
+		}
+		for r, m := range reps {
+			if len(m.Params()) != len(want.Params()) {
+				t.Fatalf("%s replica %d: %d params, want %d", s.Kind, r, len(m.Params()), len(want.Params()))
+			}
+			for i, p := range m.Params() {
+				q := want.Params()[i]
+				if p.Name != q.Name || p.W.Len() != q.W.Len() {
+					t.Fatalf("%s replica %d: param %d is %s/%d, want %s/%d",
+						s.Kind, r, i, p.Name, p.W.Len(), q.Name, q.W.Len())
+				}
+				for k, v := range p.W.Data {
+					if math.Float32bits(v) != math.Float32bits(q.W.Data[k]) {
+						t.Fatalf("%s replica %d: %s[%d] = %v, Build has %v", s.Kind, r, p.Name, k, v, q.W.Data[k])
+					}
+				}
+				if r > 0 && p.W == reps[0].Params()[i].W {
+					t.Fatalf("%s replica %d shares %s storage with replica 0", s.Kind, r, p.Name)
+				}
+			}
+		}
+	}
+	if got := CipherSpec(1, 16, 16, 10, 1).Replicas(0); got != nil {
+		t.Fatalf("Replicas(0) = %d models, want none", len(got))
+	}
+}
+
 func TestCipherStructure(t *testing.T) {
 	m := CipherSpec(1, 16, 16, 10, 1).Build()
 	if m.Param("conv1/W") == nil || m.Param("fc2/b") == nil {

@@ -112,6 +112,22 @@ type BenchResult struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
+// trimProcs drops the "-N" GOMAXPROCS suffix that `go test` appends to a
+// benchmark name when N > 1, so reports from hosts with different core
+// counts name — and compare — the same benchmark the same way.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
 // ExperimentReport is one harness experiment's headline values.
 type ExperimentReport struct {
 	ID     string             `json:"id"`
@@ -184,7 +200,7 @@ func parseBenchLine(line string) (BenchResult, bool) {
 	if err != nil {
 		return BenchResult{}, false
 	}
-	b := BenchResult{Name: f[0], Runs: runs}
+	b := BenchResult{Name: trimProcs(f[0]), Runs: runs}
 	seen := false
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)

@@ -63,6 +63,7 @@ pkg: dlion/internal/tensor
 cpu: fake
 BenchmarkMatMul-8           	     100	  11780634 ns/op	 182.30 MB/s	     512 B/op	      10 allocs/op
 BenchmarkEncode/gradient-8  	    5000	      2500 ns/op
+BenchmarkSimEvents/n=6-churn	       1	 231096112 ns/op
 some log line
 PASS
 ok  	dlion/internal/tensor	2.198s
@@ -71,18 +72,24 @@ ok  	dlion/internal/tensor	2.198s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("parsed %d results, want 2: %+v", len(got), got)
+	if len(got) != 3 {
+		t.Fatalf("parsed %d results, want 3: %+v", len(got), got)
 	}
+	// The "-8" GOMAXPROCS suffix is dropped so reports from hosts with
+	// different core counts compare by name; a non-numeric dash suffix is
+	// part of the name and stays.
 	b := got[0]
-	if b.Name != "BenchmarkMatMul-8" || b.Runs != 100 || b.NsPerOp != 11780634 {
+	if b.Name != "BenchmarkMatMul" || b.Runs != 100 || b.NsPerOp != 11780634 {
 		t.Fatalf("first: %+v", b)
 	}
 	if b.MBPerSec != 182.30 || b.BytesPerOp != 512 || b.AllocsPerOp != 10 {
 		t.Fatalf("first extras: %+v", b)
 	}
-	if got[1].Name != "BenchmarkEncode/gradient-8" || got[1].NsPerOp != 2500 {
+	if got[1].Name != "BenchmarkEncode/gradient" || got[1].NsPerOp != 2500 {
 		t.Fatalf("second: %+v", got[1])
+	}
+	if got[2].Name != "BenchmarkSimEvents/n=6-churn" {
+		t.Fatalf("third: %+v", got[2])
 	}
 }
 

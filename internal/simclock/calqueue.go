@@ -3,31 +3,36 @@ package simclock
 import "sort"
 
 // This file is the engine's scheduler data structure: a calendar queue
-// (R. Brown, CACM 1988) storing value-typed events in time-bucketed,
-// individually sorted slices. It replaces the previous container/heap of
-// *event pointers, whose per-At allocation and O(log n) sift dominated the
-// DES hot path at fleet scale (see DESIGN.md §14).
+// (R. Brown, CACM 1988) storing value-typed events in time buckets, each
+// bucket a binary min-heap on (at, seq). It replaces the previous
+// container/heap of *event pointers, whose per-At allocation and O(log n)
+// sift over the whole queue dominated the DES hot path at fleet scale (see
+// DESIGN.md §14).
 //
-// Shape: nbuckets (a power of two) slices, each sorted by (at, seq). An
-// event at virtual time `at` lives in bucket int(at/width) & mask — the
-// "day of year" mapping. A dequeue cursor sweeps slots in increasing
-// virtual-slot order; a slot's head event is due exactly when its own
-// virtual slot number equals the cursor's. Because both enqueue and dequeue
-// derive the slot from the same float division, the due test is an exact
-// integer comparison — there is no epsilon boundary between a bucket's
-// "year end" and the next event's timestamp.
+// Shape: nbuckets (a power of two) heaps. An event at virtual time `at`
+// lives in bucket int(at/width) & mask — the "day of year" mapping — and a
+// bucket's minimum sits at b[0]. A dequeue cursor sweeps slots in
+// increasing virtual-slot order; a slot's head event is due exactly when
+// its own virtual slot number equals the cursor's. Because both enqueue and
+// dequeue derive the slot from the same float division, the due test is an
+// exact integer comparison — there is no epsilon boundary between a
+// bucket's "year end" and the next event's timestamp.
 //
-// Two events with equal `at` always map to the same bucket, so the per-slot
-// sort order fully determines global (at, seq) order; the differential test
-// and fuzz target in calqueue_test.go prove the queue emits the exact
-// sequence the reference heap does.
+// Two events with equal `at` always map to the same bucket, and (at, seq)
+// is a total order, so each bucket's heap minimum fully determines global
+// order; the differential tests and fuzz target in calqueue_test.go prove
+// the queue emits the exact sequence the reference heap does.
 //
-// Amortized O(1): the bucket count tracks the queue size (double above
-// 2·nbuckets, halve below nbuckets/2), and each resize re-derives the
-// bucket width from the live events' time spread so the average occupancy
-// stays ~1–2 events per bucket. Retired bucket arrays park on a free list
-// and are handed back out after a resize, so steady-state operation
-// allocates nothing.
+// Cost: the bucket count tracks the queue size (double above 2·nbuckets,
+// halve below nbuckets/2), and each resize re-derives the bucket width from
+// the live events' time spread, so on spread-out schedules buckets hold
+// ~1–2 events and push/pop are O(1) amortized. A burst of k near-equal
+// timestamps (an all-to-all exchange delivers n² of them) cannot be spread
+// by any width and lands in a few buckets; the per-bucket heap keeps each
+// push and pop O(log k) there, so one burst costs O(k log k), where a
+// sorted bucket's insert and pop shifts would cost O(k²). Retired bucket
+// arrays park on a free list and are handed back out after a resize, so
+// steady-state operation allocates nothing.
 
 // event is one scheduled callback, stored by value inside buckets. Exactly
 // one of fn (closure API) or h (zero-alloc Handler API) is non-nil.
@@ -79,7 +84,7 @@ func (q *calQueue) init() {
 // through here, so the mapping is exactly consistent.
 func (q *calQueue) slotOf(at float64) uint64 { return uint64(at / q.width) }
 
-// push inserts ev in sorted position within its bucket.
+// push inserts ev into its bucket's heap.
 func (q *calQueue) push(ev event) {
 	if q.buckets == nil {
 		q.init()
@@ -90,16 +95,8 @@ func (q *calQueue) push(ev event) {
 		q.rehash(len(q.buckets), q.width*1024)
 	}
 	vs := q.slotOf(ev.at)
-	b := q.buckets[vs&q.mask]
-	// Insertion point from the rear: schedules are mostly appended in time
-	// order, so the common case is one comparison.
-	i := len(b)
-	for i > 0 && ev.before(&b[i-1]) {
-		i--
-	}
-	b = append(b, event{})
-	copy(b[i+1:], b[i:])
-	b[i] = ev
+	b := append(q.buckets[vs&q.mask], ev)
+	siftUp(b)
 	q.buckets[vs&q.mask] = b
 	// An event behind the cursor (or into an empty queue) re-aims the sweep
 	// so it cannot be missed.
@@ -112,37 +109,17 @@ func (q *calQueue) push(ev event) {
 	}
 }
 
-// pop removes and returns the minimum (at, seq) event.
+// pop removes and returns the minimum (at, seq) event. peek leaves the
+// cursor on the bucket whose head is that minimum.
 func (q *calQueue) pop() (event, bool) {
-	if q.size == 0 {
+	if _, ok := q.peek(); !ok {
 		return event{}, false
 	}
-	for scanned := 0; scanned < len(q.buckets); scanned++ {
-		b := q.buckets[q.vslot&q.mask]
-		if len(b) > 0 && q.slotOf(b[0].at) <= q.vslot {
-			return q.popFront(q.vslot & q.mask), true
-		}
-		q.vslot++
-	}
-	// A full sweep found nothing due: the queue is sparse relative to the
-	// current year. Jump the cursor straight to the earliest head. Equal
-	// timestamps share a bucket, so the minimum head is unique.
-	minIdx := -1
-	var minEv *event
-	for i := range q.buckets {
-		if len(q.buckets[i]) == 0 {
-			continue
-		}
-		if minEv == nil || q.buckets[i][0].before(minEv) {
-			minIdx, minEv = i, &q.buckets[i][0]
-		}
-	}
-	q.vslot = q.slotOf(minEv.at)
-	return q.popFront(uint64(minIdx)), true
+	return q.popFront(q.vslot & q.mask), true
 }
 
 // peek returns the minimum event's timestamp without removing it, leaving
-// the cursor aimed at it so the following pop is O(1).
+// the cursor aimed at its bucket so the following pop is O(1) to find it.
 func (q *calQueue) peek() (float64, bool) {
 	if q.size == 0 {
 		return 0, false
@@ -154,6 +131,9 @@ func (q *calQueue) peek() (float64, bool) {
 		}
 		q.vslot++
 	}
+	// A full sweep found nothing due: the queue is sparse relative to the
+	// current year. Jump the cursor straight to the earliest head. Equal
+	// timestamps share a bucket, so the minimum head is unique.
 	var minEv *event
 	for i := range q.buckets {
 		if len(q.buckets[i]) == 0 {
@@ -167,18 +147,61 @@ func (q *calQueue) peek() (float64, bool) {
 	return minEv.at, true
 }
 
-// popFront removes the head of bucket idx.
+// popFront removes the head (minimum) of bucket idx.
 func (q *calQueue) popFront(idx uint64) event {
 	b := q.buckets[idx]
 	ev := b[0]
-	copy(b, b[1:])
-	b[len(b)-1] = event{} // release the callback reference
-	q.buckets[idx] = b[:len(b)-1]
+	last := len(b) - 1
+	b[0] = b[last]
+	b[last] = event{} // release the callback reference
+	b = b[:last]
+	siftDown(b)
+	q.buckets[idx] = b
 	q.size--
 	if q.size < len(q.buckets)/2 && len(q.buckets) > minBuckets {
 		q.resize(len(q.buckets) / 2)
 	}
 	return ev
+}
+
+// siftUp restores the heap order of b after an append at its end.
+func siftUp(b []event) {
+	i := len(b) - 1
+	ev := b[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&b[p]) {
+			break
+		}
+		b[i] = b[p]
+		i = p
+	}
+	b[i] = ev
+}
+
+// siftDown restores the heap order of b after its root was replaced.
+func siftDown(b []event) {
+	n := len(b)
+	if n < 2 {
+		return
+	}
+	ev := b[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && b[r].before(&b[c]) {
+			c = r
+		}
+		if !b[c].before(&ev) {
+			break
+		}
+		b[i] = b[c]
+		i = c
+	}
+	b[i] = ev
 }
 
 // resize re-derives the bucket width from the live events' spread and
@@ -219,7 +242,8 @@ func (q *calQueue) resize(newCount int) {
 
 // rehash rebuilds the bucket array with the given count and width. Events
 // are staged into scratch, sorted once by (at, seq), and appended back in
-// order, so every bucket comes out sorted without per-event insertion.
+// order, so every bucket comes out sorted — and a sorted slice is already a
+// valid min-heap — without per-event sifting.
 func (q *calQueue) rehash(newCount int, newWidth float64) {
 	q.scratch = q.scratch[:0]
 	for i, b := range q.buckets {

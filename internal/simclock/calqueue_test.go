@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,6 +109,77 @@ func TestCalendarVsHeapPushAllPopAll(t *testing.T) {
 	diffDriver(t, times, 0)
 }
 
+// burstTimes models one all-to-all exchange of an n-worker federation: n
+// compute-timer events spread over seconds, then n² message deliveries
+// whose LAN arrival times differ only in nanosecond jitter, pushed in
+// sender-major order, which is not time order. Against the timers' spread,
+// no bucket width can separate the deliveries, so they pile into a few
+// buckets: the dense-bucket regime of a federation-scale run.
+func burstTimes(n int, rng *rand.Rand) []float64 {
+	times := make([]float64, 0, n+n*n)
+	for i := 0; i < n; i++ {
+		times = append(times, rng.Float64()*10)
+	}
+	const arrival = 5.0 // every delivery of the burst lands just after t=5
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			times = append(times, arrival+float64((src*31+dst*17)%97)*1e-9)
+		}
+	}
+	return times
+}
+
+// maxBucketLen returns the occupancy of the fullest bucket after pushing
+// times into a fresh queue.
+func maxBucketLen(times []float64) int {
+	var cq calQueue
+	for i, at := range times {
+		cq.push(event{at: at, seq: uint64(i + 1)})
+	}
+	longest := 0
+	for _, b := range cq.buckets {
+		longest = max(longest, len(b))
+	}
+	return longest
+}
+
+// TestCalendarVsHeapBurst is the differential check for the dense-bucket
+// regime: n² near-equal timestamps in non-monotone order, drained at the end
+// and with interleaved pops, must come out in the reference heap's order.
+func TestCalendarVsHeapBurst(t *testing.T) {
+	for _, n := range []int{64, 256} {
+		times := burstTimes(n, rand.New(rand.NewSource(int64(n))))
+		// The schedule must actually reach the regime under test: far more
+		// than the ~1–2 events per bucket of a spread-out schedule.
+		if got := maxBucketLen(times); got < n*n/4 {
+			t.Fatalf("n=%d: fullest bucket holds %d events, want a dense burst (>= %d)", n, got, n*n/4)
+		}
+		for _, popEvery := range []int{0, 3, n} {
+			t.Run(fmt.Sprintf("n=%d/popEvery=%d", n, popEvery), func(t *testing.T) {
+				diffDriver(t, times, popEvery)
+			})
+		}
+	}
+}
+
+// fuzzBurstSeed encodes an n² burst in FuzzCalendarVsHeap's input format:
+// one far-future timer, then n² timestamps drawn from five adjacent
+// quantized values in non-monotone order, with a pop after every
+// popEvery-th push when popEvery > 0. Seeds stay small (n=8 puts 64 events
+// in one bucket): the fuzzer minimizes every interesting input derived from
+// a seed, and kilobyte seeds spent the whole smoke budget minimizing.
+func fuzzBurstSeed(n, popEvery int) []byte {
+	data := []byte{127, 255}
+	for i := 0; i < n*n; i++ {
+		op := byte(100 + (i*7)%5)
+		if popEvery > 0 && i%popEvery == popEvery-1 {
+			op |= 0x80
+		}
+		data = append(data, op, 0)
+	}
+	return data
+}
+
 // FuzzCalendarVsHeap decodes the fuzz input as an operation stream — two
 // bytes of timestamp plus one opcode bit for an interleaved pop — and
 // differentially checks the calendar queue against the reference heap.
@@ -116,6 +188,8 @@ func FuzzCalendarVsHeap(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 255, 255, 0})
 	f.Add([]byte{9, 9, 9, 9, 9, 9})
 	f.Add([]byte{0, 1, 128, 7, 64, 3, 32, 200, 16, 100})
+	f.Add(fuzzBurstSeed(8, 0))
+	f.Add(fuzzBurstSeed(8, 5))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cq calQueue
 		var rh refHeap
@@ -239,5 +313,28 @@ func TestCalendarBucketReuse(t *testing.T) {
 	})
 	if allocs > 0.1 {
 		t.Fatalf("steady-state push/pop allocates %.1f times per op", allocs)
+	}
+}
+
+// BenchmarkCalQueueBurst pushes one all-to-all burst of k = n² near-equal
+// arrivals (plus the n timers of burstTimes) into the queue and drains it.
+// The per-bucket heaps cost O(log k) per event, so ns/event should stay
+// roughly flat as k grows; growth linear in k means a bucket operation has
+// gone O(k).
+func BenchmarkCalQueueBurst(b *testing.B) {
+	for _, n := range []int{32, 128, 256} {
+		times := burstTimes(n, rand.New(rand.NewSource(1)))
+		b.Run(fmt.Sprintf("k=%d", n*n), func(b *testing.B) {
+			var cq calQueue
+			for it := 0; it < b.N; it++ {
+				for i, at := range times {
+					cq.push(event{at: at, seq: uint64(i + 1)})
+				}
+				for cq.size > 0 {
+					cq.pop()
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(times)), "ns/event")
+		})
 	}
 }

@@ -6,8 +6,10 @@
 //
 // Events fire in (time, insertion-order) order, so simulations are fully
 // deterministic. The scheduler is a calendar queue (calqueue.go): value-typed
-// events in time-bucketed sorted slices with O(1) amortized enqueue/dequeue,
-// sized for the fleet-scale federations of DESIGN.md §14.
+// events in time buckets, each a min-heap, with O(1) amortized
+// enqueue/dequeue on spread-out schedules and O(log k) per event inside a
+// burst of k near-equal timestamps, sized for the fleet-scale federations of
+// DESIGN.md §14.
 package simclock
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
