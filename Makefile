@@ -22,15 +22,17 @@ race:
 	go test -race ./internal/simclock/...
 	go test -race -run 'ParallelEval' ./internal/cluster/...
 
-# Short fuzz pass over the wire decoder, framer, lineage-manifest codecs,
-# and the calendar-queue-vs-heap scheduler oracle: catches panics,
+# Short fuzz pass over every decoder of untrusted bytes — wire messages,
+# broker requests, lineage-manifest JSON, serve weight-update frames — and
+# the calendar-queue-vs-heap scheduler oracle: catches panics,
 # canonicalization regressions, and event-ordering divergence without the
-# cost of a long campaign. The committed corpus under
-# internal/wire/testdata/fuzz seeds the wire targets.
+# cost of a long campaign. Each package's committed corpus under
+# testdata/fuzz seeds its target.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
-	go test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire
-	go test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=10s ./internal/wire
+	go test -run='^$$' -fuzz=FuzzReadRequest -fuzztime=10s ./internal/queue
+	go test -run='^$$' -fuzz=FuzzDecodeJSON -fuzztime=10s ./internal/lineage
+	go test -run='^$$' -fuzz=FuzzDecodeUpdate -fuzztime=10s ./internal/serve
 	go test -run='^$$' -fuzz=FuzzCalendarVsHeap -fuzztime=10s ./internal/simclock
 
 # Conformance harness (see TESTING.md): gradcheck on every nn layer,

@@ -151,7 +151,7 @@ func main() {
 					if err != nil || iter == 0 {
 						continue // stopping, or nothing trained yet
 					}
-					frame, err := serve.EncodeUpdateManifest(iter, man, ckpt)
+					frame, err := serve.EncodeUpdate(iter, man, ckpt)
 					if err != nil {
 						fmt.Fprintln(os.Stderr, "dlion-worker: serve publish:", err)
 						continue

@@ -195,5 +195,6 @@ func ListenAndServeModels(cfg ServeConfig, addr string) (*ServeHTTPServer, error
 // EncodeWeightsUpdate frames a checkpoint for ServeWeightsChannel; seq is
 // the training iteration, which orders hot-swaps at the receivers.
 func EncodeWeightsUpdate(seq int64, ckpt []byte) []byte {
-	return serve.EncodeUpdate(seq, ckpt)
+	frame, _ := serve.EncodeUpdate(seq, nil, ckpt) // no manifest: cannot fail
+	return frame
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 )
@@ -242,13 +243,17 @@ func EncodeJSON(m *Manifest) ([]byte, error) {
 
 // DecodeJSON parses and validates a manifest produced by EncodeJSON.
 // Unknown fields are rejected so a typo'd manifest fails loudly instead of
-// silently losing its digest.
+// silently losing its digest, and so is anything but whitespace after the
+// manifest object: the bytes decode as exactly one manifest or not at all.
 func DecodeJSON(data []byte) (*Manifest, error) {
 	var m Manifest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after manifest", ErrBadManifest)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -68,6 +68,25 @@ func TestManifestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeJSONRejectsTrailingData: a valid manifest followed by a second
+// JSON value (or any non-whitespace junk) must not decode as the first one,
+// while the trailing newline EncodeJSON writes, and other whitespace, stays
+// legal.
+func TestDecodeJSONRejectsTrailingData(t *testing.T) {
+	raw, err := EncodeJSON(chained())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, junk := range []string{`{"x":1}`, `}`, `]`, `0`, `x`} {
+		if _, err := DecodeJSON(append(append([]byte{}, raw...), junk...)); !errors.Is(err, ErrBadManifest) {
+			t.Errorf("manifest + %q: err %v, want ErrBadManifest", junk, err)
+		}
+	}
+	if _, err := DecodeJSON(append(append([]byte{}, raw...), " \t\r\n\n"...)); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	cases := map[string]func(*Manifest){
 		"bad schema":           func(m *Manifest) { m.Schema = "dlion.lineage.v0" },

@@ -12,16 +12,18 @@ import (
 	"time"
 )
 
-// Wire protocol: each request frame is
+// Wire protocol (WIRE.md §1). Every payload travels as one length-prefixed
+// frame, [4B len][payload], read by readFrame and written by writeFrame:
 //
-//	[1B cmd][2B keyLen][key][4B payloadLen][payload]
+//	request   [1B cmd][2B keyLen][key] frame
+//	response  [1B status] frame          (cmdBRPop only)
+//	push      frame frame ...            (after cmdSubscribe)
 //
 // cmdPublish and cmdLPush have no response. cmdBRPop carries an 8-byte
 // little-endian timeout in milliseconds as payload and receives a response
-// frame [1B status][4B len][payload] (status 0 = ok, 1 = timeout). After
-// cmdSubscribe the connection becomes push-only: the server streams
-// [4B len][payload] frames until either side closes, mirroring Redis's
-// dedicated-subscriber-connection model.
+// (status 0 = ok, 1 = timeout). After cmdSubscribe the connection becomes
+// push-only: the server streams frames until either side closes, mirroring
+// Redis's dedicated-subscriber-connection model.
 const (
 	cmdPublish = 1
 	cmdLPush   = 2
@@ -29,7 +31,14 @@ const (
 	cmdSub     = 4
 )
 
-const maxFrame = 64 << 20
+const (
+	// maxFrame caps a frame's payload. readFrame checks it before
+	// allocating, so a hostile or corrupt prefix costs nothing.
+	maxFrame = 64 << 20
+	// maxKey caps a request key; it fits bufio's default 4 KiB buffer,
+	// which lets readRequest parse the key in place.
+	maxKey = 4096
+)
 
 // Server exposes a Broker over TCP.
 type Server struct {
@@ -133,7 +142,7 @@ func (s *Server) handle(conn net.Conn) {
 			if err != nil {
 				status, data = 1, nil
 			}
-			if err := writeResponse(w, status, data); err != nil {
+			if err := writeFrame(w, append(w.AvailableBuffer(), status), data); err != nil {
 				return
 			}
 		case cmdSub:
@@ -163,15 +172,7 @@ func (s *Server) servePush(conn net.Conn, w *bufio.Writer, channel string) {
 			if !ok {
 				return
 			}
-			var hdr [4]byte
-			binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-			if _, err := w.Write(hdr[:]); err != nil {
-				return
-			}
-			if _, err := w.Write(p); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
+			if err := writeFrame(w, w.AvailableBuffer(), p); err != nil {
 				return
 			}
 		case <-done:
@@ -190,66 +191,80 @@ func contextWithOptionalTimeout(parent context.Context, d time.Duration) (contex
 	return context.WithTimeout(parent, d)
 }
 
+// next consumes the next n bytes of r and returns them in place; the slice
+// is valid only until r is read again. A stream ending inside the n bytes
+// is io.ErrUnexpectedEOF.
+func next(r *bufio.Reader, n int) ([]byte, error) {
+	b, err := r.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	_, _ = r.Discard(n) // cannot fail: Peek buffered n bytes
+	return b, nil
+}
+
+// readFrame reads one length-prefixed payload. The length is checked
+// against maxFrame before the exact-size payload buffer is allocated.
+func readFrame(r *bufio.Reader) ([]byte, error) {
+	hdr, err := next(r, 4)
+	if err != nil {
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr)
+	if n > maxFrame {
+		return nil, fmt.Errorf("queue: %d-byte frame exceeds the %d-byte cap", n, maxFrame)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return payload, nil
+}
+
+// writeFrame writes head (a message's fixed fields, usually built in
+// w.AvailableBuffer()), then payload as one length-prefixed frame, and
+// flushes.
+func writeFrame(w *bufio.Writer, head, payload []byte) error {
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(payload)))
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
 func readRequest(r *bufio.Reader) (cmd byte, key string, payload []byte, err error) {
-	cmd, err = r.ReadByte()
+	hdr, err := next(r, 3)
 	if err != nil {
 		return 0, "", nil, err
 	}
-	var klen uint16
-	if err = binary.Read(r, binary.LittleEndian, &klen); err != nil {
-		return 0, "", nil, err
-	}
-	if klen > 4096 {
+	cmd, klen := hdr[0], int(binary.LittleEndian.Uint16(hdr[1:]))
+	if klen > maxKey {
 		return 0, "", nil, errors.New("queue: key too long")
 	}
-	kb := make([]byte, klen)
-	if _, err = io.ReadFull(r, kb); err != nil {
+	kb, err := next(r, klen)
+	if err != nil {
 		return 0, "", nil, err
 	}
-	var plen uint32
-	if err = binary.Read(r, binary.LittleEndian, &plen); err != nil {
+	key = string(kb)
+	if payload, err = readFrame(r); err != nil {
 		return 0, "", nil, err
 	}
-	if plen > maxFrame {
-		return 0, "", nil, fmt.Errorf("queue: payload %d exceeds limit", plen)
-	}
-	payload = make([]byte, plen)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, "", nil, err
-	}
-	return cmd, string(kb), payload, nil
+	return cmd, key, payload, nil
 }
 
 func writeRequest(w *bufio.Writer, cmd byte, key string, payload []byte) error {
-	if err := w.WriteByte(cmd); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint16(len(key))); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(key); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(payload))); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-func writeResponse(w *bufio.Writer, status byte, payload []byte) error {
-	if err := w.WriteByte(status); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(payload))); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	return w.Flush()
+	head := append(w.AvailableBuffer(), cmd)
+	head = binary.LittleEndian.AppendUint16(head, uint16(len(key)))
+	return writeFrame(w, append(head, key...), payload)
 }
 
 // Client talks to a queue Server. One client multiplexes Publish, LPush
@@ -318,12 +333,8 @@ func (c *Client) BRPop(key string, timeout time.Duration) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var plen uint32
-	if err := binary.Read(c.r, binary.LittleEndian, &plen); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(c.r, payload); err != nil {
+	payload, err := readFrame(c.r)
+	if err != nil {
 		return nil, err
 	}
 	if status != 0 {
@@ -365,15 +376,8 @@ func (c *Client) Subscribe(channel string, buf int) (<-chan []byte, error) {
 		defer conn.Close()
 		r := bufio.NewReader(conn)
 		for {
-			var plen uint32
-			if err := binary.Read(r, binary.LittleEndian, &plen); err != nil {
-				return
-			}
-			if plen > maxFrame {
-				return
-			}
-			payload := make([]byte, plen)
-			if _, err := io.ReadFull(r, payload); err != nil {
+			payload, err := readFrame(r)
+			if err != nil {
 				return
 			}
 			// A slow (or absent) consumer must not wedge this goroutine on

@@ -121,7 +121,12 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 					if err != nil || iter == 0 {
 						continue // node stopping, or nothing trained yet
 					}
-					if err := transports[i].Publish(serve.WeightsChannel, serve.EncodeUpdate(iter, ckpt)); err != nil {
+					frame, err := serve.EncodeUpdate(iter, nil, ckpt)
+					if err != nil {
+						t.Errorf("encode: %v", err)
+						continue
+					}
+					if err := transports[i].Publish(serve.WeightsChannel, frame); err != nil {
 						t.Errorf("publish: %v", err)
 					}
 				}

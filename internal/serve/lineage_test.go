@@ -72,11 +72,11 @@ func TestPublishManifestVerifiesDigest(t *testing.T) {
 func TestUpdateManifestCodecRoundTrip(t *testing.T) {
 	ckpt := testCkpt(t, 5)
 	man := manifestFor(t, ckpt, 7)
-	frame, err := EncodeUpdateManifest(42, man, ckpt)
+	frame, err := EncodeUpdate(42, man, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, gotMan, gotCkpt, err := DecodeUpdateAny(frame)
+	seq, gotMan, gotCkpt, err := DecodeUpdate(frame)
 	if err != nil || seq != 42 {
 		t.Fatalf("decode: seq %d err %v", seq, err)
 	}
@@ -87,14 +87,28 @@ func TestUpdateManifestCodecRoundTrip(t *testing.T) {
 		t.Fatal("checkpoint bytes mangled")
 	}
 
-	// Legacy DLSV frames decode with a nil manifest.
-	seq, gotMan, gotCkpt, err = DecodeUpdateAny(EncodeUpdate(9, ckpt))
-	if err != nil || seq != 9 || gotMan != nil || string(gotCkpt) != string(ckpt) {
-		t.Fatalf("legacy frame: seq %d man %v err %v", seq, gotMan, err)
+	// The manifest travels as its canonical lineage JSON.
+	want, err := lineage.EncodeJSON(man)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range [][]byte{nil, {}, []byte("DLS2"), []byte("DLS2123456789012"), frame[:20]} {
-		if _, _, _, err := DecodeUpdateAny(bad); err == nil {
-			t.Fatalf("DecodeUpdateAny(%q) accepted", bad)
+	if got := frame[updateHeader : updateHeader+len(want)]; string(got) != string(want) {
+		t.Fatalf("manifest bytes %q, want lineage JSON %q", got, want)
+	}
+
+	// An invalid manifest is refused at encode time, not shipped.
+	if _, err := EncodeUpdate(1, &lineage.Manifest{}, ckpt); err == nil {
+		t.Fatal("invalid manifest encoded")
+	}
+
+	overlong := append([]byte{}, frame[:updateHeader]...)
+	overlong[12] = 0xff // manifest length past the frame end
+	badMan := append([]byte{}, frame...)
+	copy(badMan[updateHeader:], "{}") // manifest region no longer validates
+	for _, bad := range [][]byte{nil, {}, []byte("DLS2"), []byte("DLS2123456789012"),
+		frame[:20], overlong, badMan} {
+		if _, _, _, err := DecodeUpdate(bad); !errors.Is(err, ErrBadUpdate) {
+			t.Fatalf("DecodeUpdate(%q): err %v, want ErrBadUpdate", bad, err)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"dlion/internal/lineage"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
-	"dlion/internal/wire"
 )
 
 // ErrStaleVersion reports a Publish whose sequence number does not advance
@@ -54,9 +53,9 @@ type Version struct {
 	// every version, manifest or not.
 	Digest lineage.Hash
 
-	// Manifest is the lineage record the publisher attached (nil for legacy
-	// DLSV frames and bare directory checkpoints). When present, its digest
-	// was verified against Digest at publish time.
+	// Manifest is the lineage record the publisher attached (nil for update
+	// frames without one and bare directory checkpoints). When present, its
+	// digest was verified against Digest at publish time.
 	Manifest *lineage.Manifest
 }
 
@@ -199,69 +198,52 @@ func (r *Registry) Chain() []ChainEntry {
 // analogue of the prototype's Redis control channels, §4.2).
 const WeightsChannel = "dlion:serve:weights"
 
-// updateMagic brands a weight-update frame ("DLSV": DLion serve version).
-var updateMagic = [4]byte{'D', 'L', 'S', 'V'}
+// updateMagic brands a weight-update frame ("DLS2": DLion serve, v2 layout).
+var updateMagic = [4]byte{'D', 'L', 'S', '2'}
+
+// updateHeader is the fixed prefix: magic, u64 seq, u32 manifest length.
+const updateHeader = 16
 
 // ErrBadUpdate reports a structurally invalid weight-update frame.
 var ErrBadUpdate = errors.New("serve: bad weight update")
 
-// EncodeUpdate frames a checkpoint with its sequence number for broadcast:
-// magic, u64 seq, checkpoint bytes.
-func EncodeUpdate(seq int64, ckpt []byte) []byte {
-	buf := make([]byte, 0, 12+len(ckpt))
+// EncodeUpdate frames a checkpoint for broadcast: magic, u64 seq, u32
+// manifest length, the manifest's canonical lineage JSON, checkpoint bytes.
+// A nil manifest is written as length 0 and cannot fail; a non-nil one must
+// pass lineage validation.
+func EncodeUpdate(seq int64, man *lineage.Manifest, ckpt []byte) ([]byte, error) {
+	var mb []byte
+	if man != nil {
+		var err error
+		if mb, err = lineage.EncodeJSON(man); err != nil {
+			return nil, err
+		}
+	}
+	buf := make([]byte, 0, updateHeader+len(mb)+len(ckpt))
 	buf = append(buf, updateMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(seq))
-	return append(buf, ckpt...)
-}
-
-// DecodeUpdate parses a frame produced by EncodeUpdate. The checkpoint
-// slice aliases p.
-func DecodeUpdate(p []byte) (seq int64, ckpt []byte, err error) {
-	if len(p) < 12 || [4]byte(p[:4]) != updateMagic {
-		return 0, nil, fmt.Errorf("%w: missing magic", ErrBadUpdate)
-	}
-	return int64(binary.LittleEndian.Uint64(p[4:])), p[12:], nil
-}
-
-// updateMagic2 brands a manifest-carrying weight-update frame ("DLS2"):
-// magic, u64 seq, u32 manifest length, wire-encoded manifest, checkpoint.
-var updateMagic2 = [4]byte{'D', 'L', 'S', '2'}
-
-// EncodeUpdateManifest frames a checkpoint together with its lineage
-// manifest for broadcast. Legacy subscribers that only understand DLSV
-// frames will drop it; DecodeUpdateAny understands both.
-func EncodeUpdateManifest(seq int64, man *lineage.Manifest, ckpt []byte) ([]byte, error) {
-	mb, err := wire.EncodeManifest(man)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 0, 16+len(mb)+len(ckpt))
-	buf = append(buf, updateMagic2[:]...)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(seq))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(mb)))
 	buf = append(buf, mb...)
 	return append(buf, ckpt...), nil
 }
 
-// DecodeUpdateAny parses either weight-update framing: DLSV frames yield a
-// nil manifest, DLS2 frames carry one. The checkpoint slice aliases p.
-func DecodeUpdateAny(p []byte) (seq int64, man *lineage.Manifest, ckpt []byte, err error) {
-	if len(p) >= 4 && [4]byte(p[:4]) == updateMagic {
-		seq, ckpt, err = DecodeUpdate(p)
-		return seq, nil, ckpt, err
-	}
-	if len(p) < 16 || [4]byte(p[:4]) != updateMagic2 {
+// DecodeUpdate parses a frame produced by EncodeUpdate. The manifest is nil
+// when the frame carries none; the checkpoint slice aliases p.
+func DecodeUpdate(p []byte) (seq int64, man *lineage.Manifest, ckpt []byte, err error) {
+	if len(p) < updateHeader || [4]byte(p[:4]) != updateMagic {
 		return 0, nil, nil, fmt.Errorf("%w: missing magic", ErrBadUpdate)
 	}
 	seq = int64(binary.LittleEndian.Uint64(p[4:]))
-	mlen := int(binary.LittleEndian.Uint32(p[12:]))
-	if mlen < 0 || 16+mlen > len(p) {
+	mlen := uint64(binary.LittleEndian.Uint32(p[12:]))
+	if mlen > uint64(len(p)-updateHeader) {
 		return 0, nil, nil, fmt.Errorf("%w: manifest length %d in %d-byte frame",
 			ErrBadUpdate, mlen, len(p))
 	}
-	man, err = wire.DecodeManifest(p[16 : 16+mlen])
-	if err != nil {
-		return 0, nil, nil, fmt.Errorf("%w: %v", ErrBadUpdate, err)
+	end := updateHeader + int(mlen)
+	if mlen > 0 {
+		if man, err = lineage.DecodeJSON(p[updateHeader:end]); err != nil {
+			return 0, nil, nil, fmt.Errorf("%w: %v", ErrBadUpdate, err)
+		}
 	}
-	return seq, man, p[16+mlen:], nil
+	return seq, man, p[end:], nil
 }

@@ -118,16 +118,19 @@ func TestRegistryConcurrentPublish(t *testing.T) {
 
 func TestUpdateCodecRoundTrip(t *testing.T) {
 	ckpt := testCkpt(t, 5)
-	frame := EncodeUpdate(77, ckpt)
-	seq, got, err := DecodeUpdate(frame)
-	if err != nil || seq != 77 {
-		t.Fatalf("decode: seq %d err %v", seq, err)
+	frame, err := EncodeUpdate(77, nil, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, man, got, err := DecodeUpdate(frame)
+	if err != nil || seq != 77 || man != nil {
+		t.Fatalf("decode: seq %d man %v err %v", seq, man, err)
 	}
 	if string(got) != string(ckpt) {
 		t.Fatal("checkpoint bytes mangled")
 	}
-	for _, bad := range [][]byte{nil, {}, []byte("DLSV"), []byte("XXXX12345678")} {
-		if _, _, err := DecodeUpdate(bad); !errors.Is(err, ErrBadUpdate) {
+	for _, bad := range [][]byte{nil, {}, []byte("DLS2"), []byte("XXXX123456780000")} {
+		if _, _, _, err := DecodeUpdate(bad); !errors.Is(err, ErrBadUpdate) {
 			t.Fatalf("DecodeUpdate(%q): err %v, want ErrBadUpdate", bad, err)
 		}
 	}

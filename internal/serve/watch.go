@@ -92,14 +92,14 @@ func newestCheckpoint(dir string) (name string, mod time.Time, ok bool) {
 	return name, mod, ok
 }
 
-// WatchBroadcasts consumes weight-update frames (EncodeUpdate or
-// EncodeUpdateManifest) from ch — an in-process broker Subscription.C or a
-// queue client's Subscribe channel on WeightsChannel — publishing each into
-// the registry until ch closes or ctx is done. Malformed frames and stale
-// versions are dropped; with several workers broadcasting, the registry's
-// strictly-increasing sequence rule arbitrates, so the cluster's freshest
-// checkpoint wins regardless of arrival order. Manifest-carrying frames
-// attach their lineage record to the published version.
+// WatchBroadcasts consumes weight-update frames (EncodeUpdate) from ch — an
+// in-process broker Subscription.C or a queue client's Subscribe channel on
+// WeightsChannel — publishing each into the registry until ch closes or ctx
+// is done. Malformed frames and stale versions are dropped; with several
+// workers broadcasting, the registry's strictly-increasing sequence rule
+// arbitrates, so the cluster's freshest checkpoint wins regardless of
+// arrival order. Manifest-carrying frames attach their lineage record to
+// the published version.
 func (r *Registry) WatchBroadcasts(ctx context.Context, ch <-chan []byte) {
 	for {
 		select {
@@ -109,7 +109,7 @@ func (r *Registry) WatchBroadcasts(ctx context.Context, ch <-chan []byte) {
 			if !ok {
 				return
 			}
-			seq, man, ckpt, err := DecodeUpdateAny(p)
+			seq, man, ckpt, err := DecodeUpdate(p)
 			if err != nil {
 				continue
 			}

@@ -1,19 +1,16 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dlion/internal/lineage"
 )
 
 // TestGenerateSeedCorpus regenerates the committed fuzz seed corpus under
-// testdata/fuzz when run with -run TestGenerateSeedCorpus -generate-corpus.
-// The corpus mirrors the f.Add seeds so `go test -fuzz` starts with
-// coverage of every message type even on a cold build cache.
+// testdata/fuzz when run with WIRE_GENERATE_CORPUS=1. The corpus mirrors
+// the f.Add seeds so `go test -fuzz` starts with coverage of every message
+// type even on a cold build cache.
 func TestGenerateSeedCorpus(t *testing.T) {
 	if os.Getenv("WIRE_GENERATE_CORPUS") == "" {
 		t.Skip("set WIRE_GENERATE_CORPUS=1 to regenerate testdata/fuzz")
@@ -30,25 +27,6 @@ func TestGenerateSeedCorpus(t *testing.T) {
 	}
 	for i, m := range seedMessages() {
 		write("FuzzDecode", fmt.Sprintf("seed-%s-%d", m.Type, i), Encode(m))
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		write("FuzzReadFrame", fmt.Sprintf("seed-%s-%d", m.Type, i), buf.Bytes())
 	}
 	write("FuzzDecode", "seed-truncated", []byte{byte(TypeGradient), 0, 0, 0, 0})
-	write("FuzzReadFrame", "seed-overlong-prefix", []byte{0xff, 0xff, 0xff, 0xff})
-	for i, m := range seedManifests() {
-		raw, err := EncodeManifest(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write("FuzzManifestDecode", fmt.Sprintf("seed-bin-%d", i), raw)
-		js, err := lineage.EncodeJSON(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write("FuzzManifestDecode", fmt.Sprintf("seed-json-%d", i), js)
-	}
-	write("FuzzManifestDecode", "seed-truncated", []byte("DLMF\x01"))
 }

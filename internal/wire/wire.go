@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"dlion/internal/grad"
@@ -490,47 +489,6 @@ func fillValues(r *reader, s *grad.Selection, dst []float32) {
 			dst[i] = math.Float32frombits(bits)
 		}
 	}
-}
-
-// WriteFrame writes a length-prefixed encoded message to w (the TCP
-// transport framing).
-func WriteFrame(w io.Writer, m *Message) error {
-	payload := Encode(m)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// MaxFrameBytes caps a frame's payload length. It matches the queue
-// transport's 64 MB frame limit and bounds the allocation a corrupt or
-// hostile length prefix can force before the read fails.
-const MaxFrameBytes = 64 << 20
-
-// ReadFrame reads one length-prefixed message from r.
-func ReadFrame(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("%w: frame length %d", ErrCorrupt, n)
-	}
-	// Read through a LimitReader instead of pre-allocating n bytes: a
-	// corrupt prefix claiming a huge frame then costs only what the peer
-	// actually sent before the truncation error.
-	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(payload)) != n {
-		return nil, io.ErrUnexpectedEOF
-	}
-	return Decode(payload)
 }
 
 // --- low-level helpers ---
