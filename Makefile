@@ -1,6 +1,7 @@
 # Tier-1 gate: everything a change must pass before merging.
 # The -race pass covers the concurrency-heavy packages (TCP broker,
-# reconnecting client, real-mode runtime, serving) plus the nn
+# reconnecting client, real-mode runtime, serving, the job manager, the
+# dlion-worker progress reporter) plus the nn
 # checkpoint-vs-Forward concurrency tests; running it repo-wide would
 # multiply simulation test time ~20x for no extra coverage.
 .PHONY: check build vet test race fuzz-smoke conformance bench bench-serve bench-sim chaos e2e-jobs audit-gate
@@ -17,7 +18,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/queue/... ./internal/realtime/... ./internal/serve/... ./internal/jobs/...
+	go test -race ./internal/queue/... ./internal/realtime/... ./internal/serve/... ./internal/jobs/... ./cmd/dlion-worker/...
 	go test -race -run 'Concurrent' ./internal/nn/... ./internal/obs/...
 	go test -race ./internal/simclock/...
 	go test -race -run 'ParallelEval' ./internal/cluster/...

@@ -26,7 +26,6 @@ import (
 	"syscall"
 	"time"
 
-	"dlion/internal/data"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
@@ -70,8 +69,7 @@ func main() {
 
 	// Identical spec derivation to dlion-worker: same scale and seed give
 	// the same architecture, so worker checkpoints restore here.
-	dc := data.CIFAR10Config(*scale, *seed+13)
-	spec := nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, *seed+1000)
+	_, spec := nn.CIFARJob(*scale, *seed)
 	reg := serve.NewRegistry(spec)
 
 	if *initCkpt != "" {

@@ -14,11 +14,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/lineage"
 	"dlion/internal/nn"
@@ -76,7 +78,7 @@ func main() {
 		sys.Membership.InitialMembers = roster
 	}
 
-	dc := data.CIFAR10Config(*scale, *seed+13)
+	dc, spec := nn.CIFARJob(*scale, *seed)
 	train, _, err := data.Generate(dc)
 	if err != nil {
 		fatal(err)
@@ -85,7 +87,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	spec := nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, *seed+1000)
+	gc := realtime.GroupConfig{N: *n, System: sys, Spec: spec, Shards: shards}
 
 	tr, err := realtime.NewClientTransportNS(*broker, *id, wf.namespace())
 	if err != nil {
@@ -95,13 +97,12 @@ func main() {
 
 	// Observability: with -debug-addr set the worker traces its phase
 	// breakdown and counters and serves them on /debug/vars next to pprof.
-	var (
-		sink *obs.WorkerObs
-		reg  *obs.Registry
-	)
+	var sink *obs.WorkerObs
 	if *dbgAddr != "" {
 		sink = obs.NewWorkerObs()
-		reg = obs.NewRegistry()
+		reg := obs.NewRegistry()
+		gc.Obs = make([]*obs.WorkerObs, *n)
+		gc.Obs[*id], gc.Metrics = sink, reg
 		tr.SetMetrics(reg)
 		dbg, err := obs.ServeDebug(*dbgAddr, reg)
 		if err != nil {
@@ -114,10 +115,7 @@ func main() {
 		fmt.Println("debug server on", dbg.Addr())
 	}
 
-	node, err := realtime.NewNode(realtime.Config{
-		ID: *id, N: *n, System: sys, Spec: spec, Shard: shards[*id], Transport: tr,
-		Obs: sink, Metrics: reg,
-	})
+	node, err := gc.NewNode(*id, tr)
 	if err != nil {
 		fatal(err)
 	}
@@ -167,20 +165,7 @@ func main() {
 			}
 		}()
 	}
-	go func() {
-		tick := time.NewTicker(5 * time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				s := node.Worker().Stats()
-				fmt.Printf("  iter=%d loss=%.3f sent=%dKB\n",
-					s.Iters, node.Worker().AvgRecentLoss(), s.BytesSent>>10)
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+	go reportProgress(ctx, node, os.Stdout, 5*time.Second)
 	go func() {
 		select {
 		case <-sigCtx.Done():
@@ -203,10 +188,10 @@ func main() {
 	if !node.FlushSends(2 * time.Second) {
 		fmt.Fprintln(os.Stderr, "dlion-worker: send queues did not fully drain")
 	}
-	s := node.Worker().Stats()
-	fmt.Printf("done: %d iterations, %d samples, final loss %.3f\n",
-		s.Iters, s.SamplesProcessed, node.Worker().AvgRecentLoss())
 	w := node.Worker()
+	s := w.Stats()
+	fmt.Printf("done: %d iterations, %d samples, final loss %.3f\n",
+		s.Iters, s.SamplesProcessed, w.AvgRecentLoss())
 	fmt.Printf("membership: state=%s epoch=%d roster=%d degraded_iters=%d\n",
 		w.State(), w.Epoch(), len(w.Members()), s.DegradedIters)
 	if sink != nil {
@@ -218,6 +203,27 @@ func main() {
 			w.SentBytes["gradient"], w.RecvBytes["gradient"],
 			w.SentBytes["weights"], w.RecvBytes["weights"],
 			w.SentBytes["control"], w.RecvBytes["control"])
+	}
+}
+
+// reportProgress prints the worker's iteration count, recent loss and sent
+// volume every interval until ctx ends or the node stops. It reads the
+// worker on its event loop (Inspect), never alongside a running event.
+func reportProgress(ctx context.Context, node *realtime.Node, out io.Writer, every time.Duration) {
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			var s core.Stats
+			var loss float64
+			if err := node.Inspect(ctx, func(w *core.Worker) { s, loss = w.Stats(), w.AvgRecentLoss() }); err != nil {
+				return
+			}
+			fmt.Fprintf(out, "  iter=%d loss=%.3f sent=%dKB\n", s.Iters, loss, s.BytesSent>>10)
+		case <-ctx.Done():
+			return
+		}
 	}
 }
 

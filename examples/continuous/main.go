@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"dlion"
@@ -44,8 +43,7 @@ func main() {
 	sys.Batch.DynamicBatching = false // wall-clock profiling is noisy in-process
 
 	fmt.Printf("session 1: training on %d samples for %v\n", train.Len(), session)
-	nodes := runSession(broker, sys, spec, shards, nil)
-	best := bestWorker(nodes)
+	best := bestWorker(runSession(broker, sys, spec, shards, nil))
 	acc1, _ := best.Model().Evaluate(test, 64)
 	fmt.Printf("session 1 done: best worker accuracy %.3f\n", acc1)
 
@@ -62,8 +60,7 @@ func main() {
 
 	// Session 2: fresh worker processes resume from the checkpoint.
 	fmt.Printf("session 2: resuming from checkpoint for %v\n", session)
-	nodes = runSession(broker, sys, spec, shards, checkpoint)
-	best = bestWorker(nodes)
+	best = bestWorker(runSession(broker, sys, spec, shards, checkpoint))
 	acc2, _ := best.Model().Evaluate(test, 64)
 	fmt.Printf("session 2 done: best worker accuracy %.3f (was %.3f)\n", acc2, acc1)
 	if acc2 >= acc1 {
@@ -74,53 +71,48 @@ func main() {
 }
 
 // runSession trains `workers` nodes for one wall-clock session, optionally
-// restoring every replica from a checkpoint first.
+// restoring every replica from a checkpoint first, and returns the stopped
+// group.
 func runSession(broker *dlion.Broker, sys dlion.SystemConfig, spec dlion.ModelSpec,
-	shards []*dlion.Shard, checkpoint []byte) []*dlion.RealNode {
+	shards []*dlion.Shard, checkpoint []byte) *dlion.RealGroup {
 
-	nodes := make([]*dlion.RealNode, workers)
-	for i := range nodes {
-		node, err := dlion.NewRealNode(dlion.RealNodeConfig{
-			ID: i, N: workers, System: sys, Spec: spec, Shard: shards[i],
-			Transport: dlion.NewBrokerTransport(broker, i),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if checkpoint != nil {
-			if err := node.Worker().Model().Restore(checkpoint); err != nil {
+	group, err := dlion.NewRealGroup(dlion.RealGroupConfig{
+		N: workers, System: sys, Spec: spec, Shards: shards,
+		Dial: func(id int) (dlion.Transport, error) {
+			return dlion.NewBrokerTransport(broker, id), nil
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if checkpoint != nil {
+		for _, nd := range group.Nodes() {
+			if err := nd.Worker().Model().Restore(checkpoint); err != nil {
 				log.Fatal(err)
 			}
 		}
-		nodes[i] = node
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), session)
 	defer cancel()
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(id int, nd *dlion.RealNode) {
-			defer wg.Done()
-			if err := nd.Run(ctx); err != nil {
-				log.Printf("worker %d: %v", id, err)
-			}
-		}(i, node)
+	group.Start(ctx)
+	<-ctx.Done()
+	if err := group.Stop(time.Second); err != nil {
+		log.Print(err)
 	}
-	wg.Wait()
-	for i, nd := range nodes {
-		fmt.Printf("  worker %d: %d iterations, loss %.3f\n",
-			i, nd.Worker().Iter(), nd.Worker().AvgRecentLoss())
+	for i, nd := range group.Nodes() {
+		w := nd.Worker()
+		fmt.Printf("  worker %d: %d iterations, loss %.3f\n", i, w.Iter(), w.AvgRecentLoss())
 	}
-	return nodes
+	return group
 }
 
-func bestWorker(nodes []*dlion.RealNode) interface {
-	Model() *dlion.Model
-} {
+// bestWorker is the worker with the lowest recent training loss.
+func bestWorker(group *dlion.RealGroup) *dlion.Worker {
+	nodes := group.Nodes()
 	best := nodes[0].Worker()
 	for _, nd := range nodes[1:] {
-		if nd.Worker().AvgRecentLoss() < best.AvgRecentLoss() {
-			best = nd.Worker()
+		if w := nd.Worker(); w.AvgRecentLoss() < best.AvgRecentLoss() {
+			best = w
 		}
 	}
 	return best

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"dlion"
@@ -50,59 +49,44 @@ func main() {
 	sys.DKT.Period = 20
 	sys.Batch.DynamicBatching = false // wall-clock profiling noise is high in-process
 
-	nodes := make([]*dlion.RealNode, n)
-	for i := 0; i < n; i++ {
-		transport, err := dlion.NewTCPTransport(srv.Addr(), i)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer transport.Close()
-		nodes[i], err = dlion.NewRealNode(dlion.RealNodeConfig{
-			ID: i, N: n, System: sys, Spec: spec,
-			Shard: shards[i], Transport: transport,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	group, err := dlion.NewRealGroup(dlion.RealGroupConfig{
+		N: n, System: sys, Spec: spec, Shards: shards,
+		Dial: func(id int) (dlion.Transport, error) {
+			return dlion.NewTCPTransport(srv.Addr(), id)
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), duration)
 	defer cancel()
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		wg.Add(1)
-		go func(id int, nd *dlion.RealNode) {
-			defer wg.Done()
-			if err := nd.Run(ctx); err != nil {
-				log.Printf("worker %d: %v", id, err)
-			}
-		}(i, node)
-	}
+	group.Start(ctx)
 
-	// Progress while training runs.
+	// Progress while training runs, read on each worker's event loop.
 	ticker := time.NewTicker(2 * time.Second)
 	defer ticker.Stop()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
 loop:
 	for {
 		select {
 		case <-ticker.C:
 			fmt.Print("progress:")
-			for i, nd := range nodes {
-				fmt.Printf("  w%d iter=%d loss=%.2f", i,
-					nd.Worker().Iter(), nd.Worker().AvgRecentLoss())
-			}
+			group.Inspect(ctx, func(id int, w *dlion.Worker) {
+				fmt.Printf("  w%d iter=%d loss=%.2f", id, w.Iter(), w.AvgRecentLoss())
+			})
 			fmt.Println()
-		case <-done:
+		case <-ctx.Done():
 			break loop
 		}
 	}
+	if err := group.Stop(time.Second); err != nil {
+		log.Print(err)
+	}
 
 	fmt.Println("\nfinal state after", duration, "of wall-clock training:")
-	for i, nd := range nodes {
-		s := nd.Worker().Stats()
+	for i, nd := range group.Nodes() {
+		w := nd.Worker()
+		s := w.Stats()
 		fmt.Printf("  worker %d: %d iterations, %d samples, %d KB sent, loss %.3f\n",
-			i, s.Iters, s.SamplesProcessed, s.BytesSent>>10, nd.Worker().AvgRecentLoss())
+			i, s.Iters, s.SamplesProcessed, s.BytesSent>>10, w.AvgRecentLoss())
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sync"
 	"time"
 
 	"dlion"
@@ -63,54 +62,49 @@ func main() {
 	defer srv.Close()
 	fmt.Println("inference server on", srv.URL())
 
+	// The client's query sample, drawn before worker 0 starts training on
+	// the same shard.
+	input := make([]float32, dc.Channels*dc.Height*dc.Width)
+	sample, _ := shards[0].NextBatch(1)
+	copy(input, sample.Data)
+
 	// Training side: two workers over the broker; each broadcasts its model
 	// every second, tagged with its training iteration.
 	sys := dlion.DLion()
 	sys.DKT.Period = 20
 	sys.Batch.DynamicBatching = false
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		transport := dlion.NewBrokerTransport(broker, i)
-		defer transport.Close()
-		node, err := dlion.NewRealNode(dlion.RealNodeConfig{
-			ID: i, N: n, System: sys, Spec: spec,
-			Shard: shards[i], Transport: transport,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := node.Run(ctx); err != nil {
-				log.Printf("worker %d: %v", id, err)
-			}
-		}(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(time.Second)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					iter, ckpt, err := node.Checkpoint(ctx)
-					if err != nil || iter == 0 {
-						continue
-					}
-					broker.Publish(dlion.ServeWeightsChannel, dlion.EncodeWeightsUpdate(iter, ckpt))
-				}
-			}
-		}()
+	group, err := dlion.NewRealGroup(dlion.RealGroupConfig{
+		N: n, System: sys, Spec: spec, Shards: shards,
+		Dial: func(id int) (dlion.Transport, error) {
+			return dlion.NewBrokerTransport(broker, id), nil
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	group.Start(ctx)
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		tick := time.NewTicker(time.Second)
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+				group.Inspect(ctx, func(_ int, w *dlion.Worker) {
+					if w.Iter() > 0 {
+						frame := dlion.EncodeWeightsUpdate(w.Iter(), w.Model().Checkpoint())
+						broker.Publish(dlion.ServeWeightsChannel, frame)
+					}
+				})
+			}
+		}
+	}()
 
 	// Client side: one prediction per second against whatever version is
 	// freshest; the reported model_seq climbs as training progresses.
-	input := make([]float32, dc.Channels*dc.Height*dc.Width)
-	sample, _ := shards[0].NextBatch(1)
-	copy(input, sample.Data)
 	body, _ := json.Marshal(map[string][][]float32{"inputs": {input}})
 	for i := 0; i < int(duration/time.Second); i++ {
 		time.Sleep(time.Second)
@@ -133,7 +127,10 @@ func main() {
 		fmt.Printf("t=%ds model_seq=%-4d class=%d p=%.2f\n", i+1, pr.ModelSeq, p.Class, p.Probs[p.Class])
 	}
 
-	wg.Wait()
+	<-published
+	if err := group.Stop(time.Second); err != nil {
+		log.Print(err)
+	}
 	if v := reg.Current(); v != nil {
 		fmt.Printf("\nserved %d hot-swaps; final version seq=%d from %s\n",
 			reg.Swaps()-1, v.Seq, v.Source)

@@ -1,6 +1,7 @@
 package dlion
 
 import (
+	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/env"
 	"dlion/internal/fault"
@@ -116,6 +117,14 @@ type (
 	RealNode = realtime.Node
 	// RealNodeConfig assembles a real-mode node.
 	RealNodeConfig = realtime.Config
+	// RealGroup builds, runs, inspects and stops the real-mode nodes of
+	// one job over one broker.
+	RealGroup = realtime.Group
+	// RealGroupConfig describes a RealGroup: one node per shard.
+	RealGroupConfig = realtime.GroupConfig
+	// Worker is the DLion worker a real node hosts. While a group runs,
+	// read it only inside RealGroup.Inspect.
+	Worker = core.Worker
 	// Transport moves encoded messages between real-mode workers.
 	Transport = realtime.Transport
 )
@@ -140,6 +149,10 @@ func NewTCPTransport(addr string, workerID int) (Transport, error) {
 
 // NewRealNode builds a real-mode node hosting one worker.
 func NewRealNode(cfg RealNodeConfig) (*RealNode, error) { return realtime.NewNode(cfg) }
+
+// NewRealGroup builds one real-mode node per shard in cfg, dialing each
+// node's transport through cfg.Dial.
+func NewRealGroup(cfg RealGroupConfig) (*RealGroup, error) { return realtime.NewGroup(cfg) }
 
 // GenerateData builds the train/test datasets for a DataConfig.
 func GenerateData(cfg DataConfig) (train, test *Dataset, err error) {

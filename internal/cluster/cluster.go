@@ -310,7 +310,7 @@ func Run(cfg Config) (*Result, error) {
 		egress:   make([]float64, cfg.N),
 	}
 	spec := cfg.Model
-	spec.Seed = cfg.Seed + 1000 // all replicas share this seed: identical init
+	spec.Seed = nn.ReplicaSeed(cfg.Seed) // all replicas share this seed: identical init
 	models := spec.Replicas(cfg.N)
 	env.wireScale = float64(spec.ExchangeBytes()) / float64(models[0].SizeBytes())
 	if env.wireScale < 1 {

@@ -75,8 +75,6 @@ type BatchConfig struct {
 	// ProfilePeriod is how often (virtual seconds) the LBS controller
 	// re-profiles compute capacity and broadcasts RCP (default 60).
 	ProfilePeriod float64
-	// MinLBS floors each worker's share (default 1).
-	MinLBS int
 	// DBClampMax bounds the dynamic batching weight db_j^k = LBS_j/LBS_k to
 	// [1/DBClampMax, DBClampMax] for numerical stability with extreme
 	// heterogeneity (default 8; see DESIGN.md decision 4).
@@ -215,10 +213,6 @@ type Config struct {
 	DKT        DKTConfig
 	Membership MembershipConfig
 	Quant      QuantConfig
-
-	// EvalSubset caps how many test samples periodic accuracy evaluation
-	// uses (0 = all). Purely a harness knob.
-	EvalSubset int
 }
 
 // Validate checks the configuration for programming errors.
@@ -278,7 +272,7 @@ func (c *Config) Validate() error {
 // determines the training computation — the string lineage manifests hash
 // into their config commitment. Two configs with equal fingerprints run the
 // same math on the same schedule (given equal seeds and worker counts);
-// presentation-only fields (Job, EvalSubset) are deliberately excluded.
+// the presentation-only Job label is deliberately excluded.
 func (c Config) Fingerprint() string {
 	c = c.withDefaults()
 	return fmt.Sprintf(
@@ -313,9 +307,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Batch.ProfilePeriod == 0 {
 		c.Batch.ProfilePeriod = 60
-	}
-	if c.Batch.MinLBS == 0 {
-		c.Batch.MinLBS = 1
 	}
 	if c.Batch.DBClampMax == 0 {
 		c.Batch.DBClampMax = 8

@@ -29,6 +29,9 @@ func computeRCP(batchSizes, seconds []float64) float64 {
 	return 1
 }
 
+// minLBS floors every worker's share of the global batch.
+const minLBS = 1
+
 // lbsShares implements Eq. 5: LBS_i = GBS · RCP_i / Σ_j RCP_j, floored at
 // minLBS per worker. rcp maps worker id to its latest reported RCP; workers
 // without a report get the mean of the known ones (cold start).

@@ -453,7 +453,7 @@ func (w *Worker) currentLBS() int {
 			rcp[k] = v
 		}
 	}
-	shares := lbsShares(gbs, len(ids), rcp, w.cfg.Batch.MinLBS)
+	shares := lbsShares(gbs, len(ids), rcp, minLBS)
 	return shares[me]
 }
 

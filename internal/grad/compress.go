@@ -147,22 +147,6 @@ func topKIndices(g []float32, k int) []int {
 	return idx
 }
 
-// topKIndicesSort is the reference selection: a full deterministic sort under
-// the same magBefore order. Kept for equivalence tests and as the benchmark
-// baseline for the quickselect path.
-func topKIndicesSort(g []float32, k int) []int {
-	idx := make([]int, len(g))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return magBefore(g, idx[a], idx[b])
-	})
-	idx = idx[:k]
-	sort.Ints(idx)
-	return idx
-}
-
 // quickSelectTopK partitions idx so that its first k entries are the top k
 // under magBefore (in unspecified internal order). Median-of-three Hoare
 // quickselect; since magBefore is a strict total order over distinct

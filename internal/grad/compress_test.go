@@ -2,6 +2,7 @@ package grad
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"dlion/internal/stats"
@@ -239,4 +240,20 @@ func TestQuickselectMatchesSortRandom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// topKIndicesSort is the reference selection: a full deterministic sort under
+// the same magBefore order. Kept for equivalence tests and as the benchmark
+// baseline for the quickselect path.
+func topKIndicesSort(g []float32, k int) []int {
+	idx := make([]int, len(g))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		return magBefore(g, idx[a], idx[b])
+	})
+	idx = idx[:k]
+	sort.Ints(idx)
+	return idx
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"dlion/internal/core"
 	"dlion/internal/data"
 	"dlion/internal/lineage"
 	"dlion/internal/nn"
@@ -309,10 +308,8 @@ type run struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	cfg    core.Config
-	mspec  nn.Spec
-	shards []*data.Shard
-	test   *data.Dataset
+	group realtime.GroupConfig // builds every worker incarnation
+	test  *data.Dataset
 
 	mu      sync.Mutex // guards job fields, halt/err, slot node swaps
 	halted  bool
@@ -330,7 +327,7 @@ type run struct {
 type slot struct {
 	mu     sync.Mutex
 	node   *realtime.Node
-	tr     *realtime.BrokerTransport
+	tr     realtime.Transport
 	wctx   context.Context    // the current incarnation's Run context
 	cancel context.CancelFunc // cancels the current incarnation's Run
 	ckpt   []byte             // latest captured checkpoint
@@ -433,9 +430,8 @@ func (r *run) deploy() error {
 		}
 		cfg.Membership.InitialMembers = roster
 	}
-	r.cfg = cfg
 
-	dc := data.CIFAR10Config(spec.Scale, spec.Seed+13)
+	dc, mspec := nn.CIFARJob(spec.Scale, spec.Seed)
 	train, test, err := data.Generate(dc)
 	if err != nil {
 		return err
@@ -444,9 +440,7 @@ func (r *run) deploy() error {
 	if err != nil {
 		return err
 	}
-	r.shards = shards
 	r.test = test
-	r.mspec = nn.CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, spec.Seed+1000)
 
 	sinks := make([]*obs.WorkerObs, spec.Workers)
 	for i := range sinks {
@@ -456,22 +450,25 @@ func (r *run) deploy() error {
 	r.sinks = sinks
 	r.mu.Unlock()
 
-	// Build the group into a local slice: r.slots is published (under r.mu)
-	// only once every worker exists, so concurrent readers — JobMetrics,
-	// CrashWorker — never observe a half-built group, and a failed deploy
-	// closes the transports it already opened instead of leaking broker
-	// subscriptions.
+	// The founders [0, Workers) run here; joiner slots keep their shards
+	// out of the group.
+	ns := queue.JobNamespace(r.job.ID)
+	r.group = realtime.GroupConfig{N: spec.Slots, System: cfg, Spec: mspec,
+		Shards: shards[:spec.Workers],
+		Dial: func(i int) (realtime.Transport, error) {
+			return realtime.NewBrokerTransportNS(r.m.cfg.Broker, i, ns), nil
+		},
+		Obs: sinks, Metrics: r.m.cfg.Metrics}
+	g, err := realtime.NewGroup(r.group)
+	if err != nil {
+		return err
+	}
+	// r.slots is published (under r.mu) only once every worker exists, so
+	// concurrent readers — JobMetrics, CrashWorker — never observe a
+	// half-built group.
 	slots := make([]*slot, spec.Workers)
-	for i := 0; i < spec.Workers; i++ {
-		node, tr, err := r.buildNode(i, nil)
-		if err != nil {
-			for _, s := range slots[:i] {
-				s.cancel()
-				s.tr.Close()
-			}
-			return err
-		}
-		s := &slot{node: node, tr: tr}
+	for i, node := range g.Nodes() {
+		s := &slot{node: node, tr: g.Transport(i)}
 		s.wctx, s.cancel = context.WithCancel(r.ctx)
 		slots[i] = s
 	}
@@ -481,18 +478,12 @@ func (r *run) deploy() error {
 	return nil
 }
 
-// buildNode constructs one worker incarnation on the job's broker
-// namespace, restoring ckpt into its model when resuming after a crash
-// (the realtime half of PR 1's checkpoint-restore path).
-func (r *run) buildNode(i int, ckpt []byte) (*realtime.Node, *realtime.BrokerTransport, error) {
-	tr := realtime.NewBrokerTransportNS(r.m.cfg.Broker, i, queue.JobNamespace(r.job.ID))
-	node, err := realtime.NewNode(realtime.Config{
-		ID: i, N: r.job.Spec.Slots, System: r.cfg, Spec: r.mspec,
-		Shard: r.shards[i], Transport: tr,
-		Obs: r.sinks[i], Metrics: r.m.cfg.Metrics,
-	})
+// restartNode rebuilds worker i's incarnation through the job's group
+// config and restores ckpt into its model (the realtime half of the
+// checkpoint-restore path).
+func (r *run) restartNode(i int, ckpt []byte) (*realtime.Node, realtime.Transport, error) {
+	node, tr, err := r.group.Open(i)
 	if err != nil {
-		tr.Close()
 		return nil, nil, err
 	}
 	if len(ckpt) > 0 {
@@ -545,7 +536,7 @@ func (r *run) workerLoop(i int) {
 		s.mu.Lock()
 		ckpt := s.ckpt
 		s.mu.Unlock()
-		node, tr, berr := r.buildNode(i, ckpt)
+		node, tr, berr := r.restartNode(i, ckpt)
 		if berr != nil {
 			r.failWith(berr)
 			return
@@ -722,7 +713,7 @@ func (r *run) evaluate() (acc, loss float64, err error) {
 	if best == nil {
 		return 0, 0, fmt.Errorf("jobs: no checkpoint captured")
 	}
-	model := r.mspec.Build()
+	model := r.group.Spec.Build()
 	if err := model.Restore(best); err != nil {
 		return 0, 0, fmt.Errorf("jobs: final evaluation: %w", err)
 	}

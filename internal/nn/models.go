@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"dlion/internal/data"
 	"dlion/internal/stats"
 )
 
@@ -23,6 +24,19 @@ type Spec struct {
 	Classes   int
 	Seed      uint64
 	WireBytes int
+}
+
+// ReplicaSeed is the replica-init seed of a seeded job: every worker of a
+// job with seed s builds its model from ReplicaSeed(s), so replicas start
+// identical on every substrate.
+func ReplicaSeed(seed uint64) uint64 { return seed + 1000 }
+
+// CIFARJob derives a seeded CIFAR job's data config and model spec — the
+// one derivation shared by dlion-worker, dlion-serve and the job manager,
+// so a worker checkpoint always restores into the serving model.
+func CIFARJob(scale float64, seed uint64) (data.Config, Spec) {
+	dc := data.CIFAR10Config(scale, seed+13)
+	return dc, CipherSpec(dc.Channels, dc.Height, dc.Width, dc.NumClasses, ReplicaSeed(seed))
 }
 
 // CipherSpec returns the paper's Cipher CNN spec (3 conv + 2 FC with

@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"dlion/internal/data"
-	"dlion/internal/nn"
 	"dlion/internal/queue"
 )
 
@@ -28,50 +26,24 @@ func TestRealModeBrokerRestart(t *testing.T) {
 	addr := srv.Addr()
 
 	const n = 2
-	dc := data.Config{Name: "chaos-rt", NumClasses: 3, Train: 240, Test: 60,
-		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 21}
-	train, _, err := data.Generate(dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := data.Partition(train, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := nn.CipherSpec(1, 8, 8, 3, 5)
-
 	// wrap each transport so the test can observe deliveries race-free
 	// while the nodes are live (Worker.Stats is event-loop-owned)
 	transports := make([]*countingTransport, n)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		tr, err := NewClientTransport(addr, i)
+	g, err := NewGroup(testGroupConfig(t, testData("chaos-rt"), n, func(id int) (Transport, error) {
+		tr, err := NewClientTransport(addr, id)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		transports[i] = &countingTransport{Transport: tr}
-		node, err := NewNode(Config{
-			ID: i, N: n, System: realSystem(), Spec: spec,
-			Shard: shards[i], Transport: transports[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+		transports[id] = &countingTransport{Transport: tr}
+		return transports[id], nil
+	}))
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	nodes := g.Nodes()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(nd *Node) {
-			defer wg.Done()
-			if err := nd.Run(ctx); err != nil {
-				t.Errorf("node: %v", err)
-			}
-		}(node)
-	}
+	g.Start(ctx)
 
 	waitFor := func(stage string, cond func() bool) {
 		deadline := time.Now().Add(budget(20 * time.Second))
@@ -128,7 +100,9 @@ func TestRealModeBrokerRestart(t *testing.T) {
 		return true
 	})
 	cancel()
-	wg.Wait()
+	if err := g.Stop(budget(5 * time.Second)); err != nil {
+		t.Errorf("group stop: %v", err)
+	}
 
 	// the run is over, so Worker.Stats is safe to read: the received
 	// traffic must have reached the workers, and training kept going
@@ -144,11 +118,6 @@ func TestRealModeBrokerRestart(t *testing.T) {
 	}
 
 	// teardown everything and verify nothing leaked
-	for _, tr := range transports {
-		if err := tr.Close(); err != nil {
-			t.Errorf("transport close: %v", err)
-		}
-	}
 	srv2.Close()
 	b.Close()
 
@@ -187,7 +156,7 @@ func TestSendOrderIsFIFOPerPeer(t *testing.T) {
 	last := -1
 	for i := 0; i < total; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		p, err := b.BRPop(ctx, DataKey(1))
+		p, err := b.BRPop(ctx, queue.Namespace("").DataKey(1))
 		cancel()
 		if err != nil {
 			t.Fatalf("message %d missing: %v", i, err)

@@ -2,13 +2,10 @@ package realtime
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
 	"dlion/internal/core"
-	"dlion/internal/data"
-	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 )
@@ -17,44 +14,28 @@ import (
 // queued frame, joins must complete through a real transport, and a broker
 // restart in the middle of the admission handshake must be survivable.
 
-// elasticNodes builds an n-slot real-mode cluster where ids < founders are
-// founders and the rest are joiners sponsored by worker 0. All nodes are
-// started; joiners begin their handshake immediately on Start.
-func elasticNodes(t *testing.T, n, founders int, mkTransport func(id int) Transport, reg *obs.Registry) []*Node {
+// elasticConfig describes an n-slot real-mode cluster where ids < founders
+// are founders and the rest are joiners sponsored by worker 0. Joiners
+// begin their handshake immediately on Start.
+func elasticConfig(t *testing.T, n, founders int, dial func(id int) (Transport, error), reg *obs.Registry) GroupConfig {
 	t.Helper()
-	dc := data.Config{Name: "rt-elastic", NumClasses: 3, Train: 240, Test: 60,
-		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 21}
-	train, _, err := data.Generate(dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := data.Partition(train, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := nn.CipherSpec(1, 8, 8, 3, 5)
 	roster := make([]int, founders)
 	for i := range roster {
 		roster[i] = i
 	}
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		sys := realSystem()
-		if i < founders {
+	cfg := testGroupConfig(t, testData("rt-elastic"), n, dial)
+	cfg.PerWorker = func(id int, sys core.Config) core.Config {
+		if id < founders {
 			sys.Membership = core.MembershipConfig{InitialMembers: roster}
 		} else {
 			sys.Membership = core.MembershipConfig{Join: true, Sponsor: 0,
 				JoinTimeout: budget(60 * time.Second).Seconds(),
 				JoinRetry:   0.2}
 		}
-		node, err := NewNode(Config{ID: i, N: n, System: sys, Spec: spec,
-			Shard: shards[i], Transport: mkTransport(i), Metrics: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+		return sys
 	}
-	return nodes
+	cfg.Metrics = reg
+	return cfg
 }
 
 // inspectWorker reads one loop-owned value off a live node, failing the
@@ -87,17 +68,11 @@ func TestGracefulLeaveFlushesEverything(t *testing.T) {
 	b := queue.NewBroker()
 	defer b.Close()
 	reg := obs.NewRegistry()
-	nodes := elasticNodes(t, 3, 3, func(id int) Transport {
-		return NewBrokerTransport(b, id)
-	}, reg)
-
+	g := newTestGroup(t, elasticConfig(t, 3, 3, brokerDial(b), reg))
+	nodes := g.Nodes()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(nd *Node) { defer wg.Done(); _ = nd.Run(ctx) }(node)
-	}
+	g.Start(ctx)
 
 	// let the full roster train together first
 	waitForCond(t, "initial training", func() bool {
@@ -141,7 +116,7 @@ func TestGracefulLeaveFlushesEverything(t *testing.T) {
 	})
 
 	cancel()
-	wg.Wait()
+	g.Stop(budget(5 * time.Second))
 	if drops := reg.Counter("realtime.fifo_drops").Load(); drops != 0 {
 		t.Fatalf("%d frames shed during the run; a graceful leave must drop none", drops)
 	}
@@ -152,17 +127,11 @@ func TestGracefulLeaveFlushesEverything(t *testing.T) {
 func TestJoinOverRealTransport(t *testing.T) {
 	b := queue.NewBroker()
 	defer b.Close()
-	nodes := elasticNodes(t, 3, 2, func(id int) Transport {
-		return NewBrokerTransport(b, id)
-	}, nil)
-
+	g := newTestGroup(t, elasticConfig(t, 3, 2, brokerDial(b), nil))
+	nodes := g.Nodes()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(nd *Node) { defer wg.Done(); _ = nd.Run(ctx) }(node)
-	}
+	g.Start(ctx)
 
 	waitForCond(t, "join admitted", func() bool {
 		var st core.MemberState
@@ -187,7 +156,7 @@ func TestJoinOverRealTransport(t *testing.T) {
 		return true
 	})
 	cancel()
-	wg.Wait()
+	g.Stop(budget(5 * time.Second))
 }
 
 // TestBrokerRestartDuringJoinHandshake is the churn acceptance test for the
@@ -204,27 +173,21 @@ func TestBrokerRestartDuringJoinHandshake(t *testing.T) {
 	}
 	addr := srv.Addr()
 
-	transports := make([]Transport, 3)
-	for i := range transports {
-		tr, err := NewClientTransport(addr, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		transports[i] = tr
+	// The founders run as a group; the joiner is built by the same
+	// per-node builder and started on its own once the broker is down.
+	cfg := elasticConfig(t, 3, 2, tcpDial(addr), nil)
+	founders := cfg
+	founders.Shards = cfg.Shards[:2]
+	g := newTestGroup(t, founders)
+	joiner, joinerTr, err := cfg.Open(2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	nodes := elasticNodes(t, 3, 2, func(id int) Transport {
-		return transports[id]
-	}, nil)
+	nodes := append(g.Nodes(), joiner)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var wg sync.WaitGroup
-	runNode := func(nd *Node) {
-		wg.Add(1)
-		go func() { defer wg.Done(); _ = nd.Run(ctx) }()
-	}
-	runNode(nodes[0])
-	runNode(nodes[1])
+	g.Start(ctx)
 
 	// founders healthy, then the broker dies
 	waitForCond(t, "founders training", func() bool {
@@ -240,7 +203,8 @@ func TestBrokerRestartDuringJoinHandshake(t *testing.T) {
 
 	// the joiner starts its handshake into the outage: its HELLO stalls in
 	// the reconnecting transport until the broker returns
-	runNode(nodes[2])
+	joinerDone := make(chan struct{})
+	go func() { defer close(joinerDone); _ = joiner.Run(ctx) }()
 	time.Sleep(budget(300 * time.Millisecond))
 
 	var srv2 *queue.Server
@@ -275,11 +239,12 @@ func TestBrokerRestartDuringJoinHandshake(t *testing.T) {
 	}
 
 	cancel()
-	wg.Wait()
-	for _, tr := range transports {
-		if err := tr.Close(); err != nil {
-			t.Errorf("transport close: %v", err)
-		}
+	<-joinerDone
+	if err := joinerTr.Close(); err != nil {
+		t.Errorf("transport close: %v", err)
+	}
+	if err := g.Stop(budget(5 * time.Second)); err != nil {
+		t.Errorf("group stop: %v", err)
 	}
 	srv2.Close()
 	b.Close()

@@ -1,13 +1,9 @@
 package realtime
 
 import (
-	"context"
-	"sync"
 	"testing"
 	"time"
 
-	"dlion/internal/data"
-	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 )
@@ -23,45 +19,13 @@ func TestRealModeObservability(t *testing.T) {
 	b.SetMetrics(reg)
 
 	const n = 2
-	dc := data.Config{Name: "rt", NumClasses: 3, Train: 240, Test: 60,
-		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 21}
-	train, _, err := data.Generate(dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := data.Partition(train, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := nn.CipherSpec(1, 8, 8, 3, 5)
-
 	sinks := make([]*obs.WorkerObs, n)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
+	for i := range sinks {
 		sinks[i] = obs.NewWorkerObs()
-		node, err := NewNode(Config{
-			ID: i, N: n, System: realSystem(), Spec: spec, Shard: shards[i],
-			Transport: NewBrokerTransport(b, i),
-			Obs:       sinks[i], Metrics: reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), budget(2*time.Second))
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(nd *Node) {
-			defer wg.Done()
-			if err := nd.Run(ctx); err != nil {
-				t.Errorf("node: %v", err)
-			}
-		}(node)
-	}
-	wg.Wait()
+	cfg := testGroupConfig(t, testData("rt"), n, brokerDial(b))
+	cfg.Obs, cfg.Metrics = sinks, reg
+	nodes := runGroupFor(t, cfg, budget(2*time.Second))
 
 	for i, o := range sinks {
 		w := o.Snapshot(i)

@@ -18,7 +18,6 @@ import (
 	"dlion/internal/lineage"
 	"dlion/internal/nn"
 	"dlion/internal/obs"
-	"dlion/internal/queue"
 	"dlion/internal/wire"
 )
 
@@ -32,12 +31,6 @@ type Transport interface {
 	Recv() ([]byte, error)
 	Close() error
 }
-
-// DataKey returns the broker list key carrying worker id's inbound data in
-// the root (single-job) namespace. Control-plane jobs use per-job
-// namespaced keys instead (queue.JobNamespace + the *NS transport
-// constructors).
-func DataKey(id int) string { return queue.Namespace("").DataKey(id) }
 
 // Config assembles one real-mode node.
 type Config struct {
@@ -332,23 +325,6 @@ func (n *Node) Leave(ctx context.Context, flushTimeout time.Duration) error {
 			n.sendPending.Load(), flushTimeout)
 	}
 	return nil
-}
-
-// Checkpoint snapshots the hosted worker's model without violating the
-// event-loop contract: the snapshot closure runs on the loop between
-// events (via Inspect), so it can never observe a model mid-TrainStep. It
-// returns the worker's completed iteration count alongside the checkpoint
-// bytes — the pair a serving registry needs for ordered hot-swaps.
-func (n *Node) Checkpoint(ctx context.Context) (int64, []byte, error) {
-	var iter int64
-	var ckpt []byte
-	err := n.Inspect(ctx, func(w *core.Worker) {
-		iter, ckpt = w.Iter(), w.Model().Checkpoint()
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return iter, ckpt, nil
 }
 
 // CheckpointManifest snapshots the worker's model together with its lineage

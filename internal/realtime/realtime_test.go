@@ -2,7 +2,6 @@ package realtime
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,10 +22,16 @@ func realSystem() core.Config {
 	}
 }
 
-func runRealCluster(t *testing.T, n int, mkTransport func(id int) Transport, d time.Duration) []*Node {
-	t.Helper()
-	dc := data.Config{Name: "rt", NumClasses: 3, Train: 240, Test: 60,
+// testData is the shared small Cipher workload of the real-mode tests.
+func testData(name string) data.Config {
+	return data.Config{Name: name, NumClasses: 3, Train: 240, Test: 60,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 21}
+}
+
+// testGroupConfig splits dc's training set over n shards and runs
+// realSystem on every node.
+func testGroupConfig(t *testing.T, dc data.Config, n int, dial func(id int) (Transport, error)) GroupConfig {
+	t.Helper()
 	train, _, err := data.Generate(dc)
 	if err != nil {
 		t.Fatal(err)
@@ -35,32 +40,50 @@ func runRealCluster(t *testing.T, n int, mkTransport func(id int) Transport, d t
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := nn.CipherSpec(1, 8, 8, 3, 5)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(Config{
-			ID: i, N: n, System: realSystem(), Spec: spec,
-			Shard: shards[i], Transport: mkTransport(i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+	return GroupConfig{N: n, System: realSystem(), Spec: nn.CipherSpec(1, 8, 8, 3, 5),
+		Shards: shards, Dial: dial}
+}
+
+// brokerDial dials in-process broker transports.
+func brokerDial(b *queue.Broker) func(id int) (Transport, error) {
+	return func(id int) (Transport, error) { return NewBrokerTransport(b, id), nil }
+}
+
+// tcpDial dials TCP broker transports.
+func tcpDial(addr string) func(id int) (Transport, error) {
+	return func(id int) (Transport, error) { return NewClientTransport(addr, id) }
+}
+
+// newTestGroup builds a group, stopping it when the test ends.
+func newTestGroup(t *testing.T, cfg GroupConfig) *Group {
+	t.Helper()
+	g, err := NewGroup(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { g.Stop(budget(5 * time.Second)) })
+	return g
+}
+
+// runRealCluster trains an n-node group for d and returns its stopped
+// nodes.
+func runRealCluster(t *testing.T, n int, dial func(id int) (Transport, error), d time.Duration) []*Node {
+	t.Helper()
+	return runGroupFor(t, testGroupConfig(t, testData("rt"), n, dial), d)
+}
+
+// runGroupFor trains cfg's group for d and returns its stopped nodes.
+func runGroupFor(t *testing.T, cfg GroupConfig, d time.Duration) []*Node {
+	t.Helper()
+	g := newTestGroup(t, cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(nd *Node) {
-			defer wg.Done()
-			if err := nd.Run(ctx); err != nil {
-				t.Errorf("node: %v", err)
-			}
-		}(node)
+	g.Start(ctx)
+	<-ctx.Done()
+	if err := g.Stop(budget(5 * time.Second)); err != nil {
+		t.Errorf("stop: %v", err)
 	}
-	wg.Wait()
-	return nodes
+	return g.Nodes()
 }
 
 // budget scales test wall-time for the race detector's ~20x slowdown.
@@ -74,9 +97,7 @@ func budget(d time.Duration) time.Duration {
 func TestRealModeInProcBroker(t *testing.T) {
 	b := queue.NewBroker()
 	defer b.Close()
-	nodes := runRealCluster(t, 3, func(id int) Transport {
-		return NewBrokerTransport(b, id)
-	}, budget(2*time.Second))
+	nodes := runRealCluster(t, 3, brokerDial(b), budget(2*time.Second))
 	for i, nd := range nodes {
 		s := nd.Worker().Stats()
 		if s.Iters < 2 {
@@ -105,13 +126,7 @@ func TestRealModeTCPBroker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	nodes := runRealCluster(t, 2, func(id int) Transport {
-		tr, err := NewClientTransport(srv.Addr(), id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}, budget(2*time.Second))
+	nodes := runRealCluster(t, 2, tcpDial(srv.Addr()), budget(2*time.Second))
 	for i, nd := range nodes {
 		s := nd.Worker().Stats()
 		if s.Iters < 1 {
@@ -131,9 +146,7 @@ func TestRealModeLearns(t *testing.T) {
 	}
 	b := queue.NewBroker()
 	defer b.Close()
-	nodes := runRealCluster(t, 2, func(id int) Transport {
-		return NewBrokerTransport(b, id)
-	}, 3*time.Second)
+	nodes := runRealCluster(t, 2, brokerDial(b), 3*time.Second)
 	// training loss should have dropped below the ln(3)≈1.1 chance level
 	for i, nd := range nodes {
 		if l := nd.Worker().AvgRecentLoss(); l > 1.2 {
@@ -153,29 +166,10 @@ func TestInspectRunsOnLoopAndFailsAfterStop(t *testing.T) {
 	defer b.Close()
 	dc := data.Config{Name: "ins", NumClasses: 3, Train: 120, Test: 30,
 		Channels: 1, Height: 8, Width: 8, Noise: 0.4, Jitter: 0, Bumps: 3, Seed: 8}
-	train, _, err := data.Generate(dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := data.Partition(train, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := nn.CipherSpec(1, 8, 8, 3, 5)
-	nodes := make([]*Node, 2)
-	for i := range nodes {
-		nodes[i], err = NewNode(Config{ID: i, N: 2, System: realSystem(),
-			Spec: spec, Shard: shards[i], Transport: NewBrokerTransport(b, i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := newTestGroup(t, testGroupConfig(t, dc, 2, brokerDial(b)))
+	nodes := g.Nodes()
 	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for _, node := range nodes {
-		wg.Add(1)
-		go func(nd *Node) { defer wg.Done(); _ = nd.Run(ctx) }(node)
-	}
+	g.Start(ctx)
 
 	// Inspect must observe a quiescent worker and see training progress.
 	deadline := time.Now().Add(budget(5 * time.Second))
@@ -194,7 +188,7 @@ func TestInspectRunsOnLoopAndFailsAfterStop(t *testing.T) {
 	}
 
 	cancel()
-	wg.Wait()
+	g.Stop(budget(5 * time.Second))
 	// After Run exits the node must refuse inspection rather than hang.
 	if err := nodes[0].Inspect(context.Background(), func(*core.Worker) {}); err == nil {
 		t.Fatal("Inspect after stop must fail")

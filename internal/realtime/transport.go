@@ -8,14 +8,6 @@ import (
 	"dlion/internal/queue"
 )
 
-// Publisher is the optional broadcast side of a Transport: both
-// BrokerTransport and ClientTransport implement it, and callers that want
-// to fan out frames beyond point-to-point worker traffic (the serving
-// weight feed) type-assert for it.
-type Publisher interface {
-	Publish(channel string, payload []byte) error
-}
-
 // BrokerTransport connects a node to an in-process broker: sends LPush to
 // the destination's data list; Recv blocks on this node's own list.
 // It mirrors the prototype's Redis data-queue usage (§4.2).

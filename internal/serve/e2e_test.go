@@ -63,7 +63,8 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 	}
 	watchCtx, stopWatch := context.WithCancel(context.Background())
 	defer stopWatch()
-	go reg.WatchBroadcasts(watchCtx, sub.C)
+	watchDone := make(chan struct{})
+	go func() { defer close(watchDone); reg.WatchBroadcasts(watchCtx, sub.C) }()
 
 	metrics := obs.NewRegistry()
 	srv, err := serve.Listen(serve.Config{
@@ -76,31 +77,19 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 	defer srv.Close()
 
 	// Training side: two workers over broker transports.
-	transports := make([]*realtime.BrokerTransport, n)
-	nodes := make([]*realtime.Node, n)
-	for i := 0; i < n; i++ {
-		transports[i] = realtime.NewBrokerTransport(broker, i)
-		node, err := realtime.NewNode(realtime.Config{
-			ID: i, N: n, System: system, Spec: spec,
-			Shard: shards[i], Transport: transports[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = node
+	g, err := realtime.NewGroup(realtime.GroupConfig{N: n, System: system, Spec: spec,
+		Shards: shards,
+		Dial: func(id int) (realtime.Transport, error) {
+			return realtime.NewBrokerTransport(broker, id), nil
+		}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer g.Stop(time.Second)
+	nodes := g.Nodes()
 	trainCtx, stopTraining := context.WithTimeout(context.Background(), 4*time.Second)
 	defer stopTraining()
-	var trainWG sync.WaitGroup
-	for _, node := range nodes {
-		trainWG.Add(1)
-		go func(nd *realtime.Node) {
-			defer trainWG.Done()
-			if err := nd.Run(trainCtx); err != nil {
-				t.Errorf("node: %v", err)
-			}
-		}(node)
-	}
+	g.Start(trainCtx)
 
 	// Each worker broadcasts its checkpoint periodically, exactly as
 	// dlion-worker's -serve-publish flag does: snapshot on the event loop,
@@ -117,7 +106,11 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 				case <-trainCtx.Done():
 					return
 				case <-tick.C:
-					iter, ckpt, err := nodes[i].Checkpoint(trainCtx)
+					var iter int64
+					var ckpt []byte
+					err := nodes[i].Inspect(trainCtx, func(w *core.Worker) {
+						iter, ckpt = w.Iter(), w.Model().Checkpoint()
+					})
 					if err != nil || iter == 0 {
 						continue // node stopping, or nothing trained yet
 					}
@@ -126,7 +119,7 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 						t.Errorf("encode: %v", err)
 						continue
 					}
-					if err := transports[i].Publish(serve.WeightsChannel, frame); err != nil {
+					if err := g.Transport(i).(*realtime.BrokerTransport).Publish(serve.WeightsChannel, frame); err != nil {
 						t.Errorf("publish: %v", err)
 					}
 				}
@@ -183,7 +176,13 @@ func TestEndToEndTrainingFeedsServing(t *testing.T) {
 
 	clientWG.Wait()
 	pubWG.Wait()
-	trainWG.Wait()
+	if err := g.Stop(time.Second); err != nil {
+		t.Errorf("stop: %v", err)
+	}
+	// Stop the feed before sampling the registry, so no broadcast still
+	// queued on the subscription can swap in after the sample.
+	stopWatch()
+	<-watchDone
 
 	if got := answered.Load(); got == 0 {
 		t.Fatal("no predictions served")

@@ -3,19 +3,13 @@ package testkit
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"dlion/internal/cluster"
 	"dlion/internal/core"
-	"dlion/internal/data"
 	"dlion/internal/fault"
-	"dlion/internal/nn"
 	"dlion/internal/obs"
 	"dlion/internal/queue"
 	"dlion/internal/realtime"
-	"dlion/internal/simcompute"
-	"dlion/internal/simnet"
 	"dlion/internal/tensor"
 )
 
@@ -41,7 +35,7 @@ type ChurnConfig struct {
 	Steps      int64  // survivor iteration budget (MaxIters)
 	Leaver     int    // id of the departing worker
 	LeaveAfter int64  // leaver departs after exactly this many iterations
-	Seed       uint64 // data + partition seed; replicas init from Seed+1000
+	Seed       uint64 // data + partition seed; replicas init from nn.ReplicaSeed(Seed)
 }
 
 func (c ChurnConfig) validate() error {
@@ -150,27 +144,11 @@ func RunChurnSim(c ChurnConfig) (*ChurnResult, error) {
 	}
 	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
 
-	eq := c.equivalence()
-	horizon := float64(c.Steps)*2 + 20
-	computes := make([]*simcompute.Compute, c.N)
-	for i := range computes {
-		computes[i] = simcompute.New(simcompute.Constant(12),
-			simcompute.CostModel{Overhead: 0.05, PerSample: 0.5}, uint64(i))
+	cc := c.equivalence().clusterConfig()
+	cc.Faults = &fault.Schedule{
+		Leaves: []fault.Leave{{Worker: c.Leaver, AfterIters: c.LeaveAfter}},
 	}
-	res, err := cluster.Run(cluster.Config{
-		System:     eq.system(),
-		Model:      nn.CipherSpec(1, 8, 8, 3, 0), // seed overwritten to Seed+1000 by cluster.Run
-		Data:       eq.dataConfig(),
-		N:          c.N,
-		Computes:   computes,
-		Network:    simnet.Uniform(c.N, simcompute.Constant(200), 0.001),
-		Horizon:    horizon,
-		EvalPeriod: horizon, // evaluation is read-only; keep it out of the way
-		Seed:       c.Seed,
-		Faults: &fault.Schedule{
-			Leaves: []fault.Leave{{Worker: c.Leaver, AfterIters: c.LeaveAfter}},
-		},
-	})
+	res, err := cluster.Run(cc)
 	if err != nil {
 		return nil, err
 	}
@@ -190,16 +168,6 @@ func RunChurnRealtime(ctx context.Context, c ChurnConfig) (*ChurnResult, error) 
 	}
 	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
 
-	eq := c.equivalence()
-	train, _, err := data.Generate(eq.dataConfig())
-	if err != nil {
-		return nil, err
-	}
-	shards, err := data.Partition(train, c.N, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-
 	b := queue.NewBroker()
 	defer b.Close()
 	srv, err := queue.Serve(b, "127.0.0.1:0")
@@ -208,72 +176,19 @@ func RunChurnRealtime(ctx context.Context, c ChurnConfig) (*ChurnResult, error) 
 	}
 	defer srv.Close()
 
-	reg := obs.NewRegistry()
-	transports := make([]*realtime.ClientTransport, c.N)
-	nodes := make([]*realtime.Node, c.N)
-	for i := range nodes {
-		transports[i], err = realtime.NewClientTransport(srv.Addr(), i)
-		if err != nil {
-			return nil, err
-		}
-		sys := eq.system()
-		if i == c.Leaver {
+	gc, err := c.equivalence().groupConfig(func(id int) (realtime.Transport, error) {
+		return realtime.NewClientTransport(srv.Addr(), id)
+	})
+	if err != nil {
+		return nil, err
+	}
+	gc.PerWorker = func(id int, sys core.Config) core.Config {
+		if id == c.Leaver {
 			sys.Membership.LeaveAfterIters = c.LeaveAfter
 		}
-		nodes[i], err = realtime.NewNode(realtime.Config{
-			ID: i, N: c.N, System: sys, Spec: eq.spec(),
-			Shard: shards[i], Transport: transports[i], Metrics: reg,
-		})
-		if err != nil {
-			return nil, err
-		}
+		return sys
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	runErr := make(chan error, c.N)
-	for _, nd := range nodes {
-		wg.Add(1)
-		go func(nd *realtime.Node) {
-			defer wg.Done()
-			if err := nd.Run(runCtx); err != nil {
-				runErr <- err
-			}
-		}(nd)
-	}
-
-	// Settled: the leaver has left, every survivor spent its budget.
-	settled := func(i int, nd *realtime.Node) (bool, error) {
-		var done bool
-		err := nd.Inspect(ctx, func(w *core.Worker) {
-			if i == c.Leaver {
-				done = w.State() == core.StateLeft
-			} else {
-				done = w.Iter() == c.Steps
-			}
-		})
-		return done, err
-	}
-	for i, nd := range nodes {
-		for {
-			done, err := settled(i, nd)
-			if err != nil {
-				return nil, fmt.Errorf("testkit: churn realtime poll: %w", err)
-			}
-			if done {
-				break
-			}
-			select {
-			case err := <-runErr:
-				return nil, fmt.Errorf("testkit: churn realtime node: %w", err)
-			case <-ctx.Done():
-				return nil, fmt.Errorf("testkit: churn realtime run: %w", ctx.Err())
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}
-
+	gc.Metrics = obs.NewRegistry()
 	out := &ChurnResult{
 		Iters:      make([]int64, c.N),
 		Stats:      make([]core.Stats, c.N),
@@ -281,31 +196,22 @@ func RunChurnRealtime(ctx context.Context, c ChurnConfig) (*ChurnResult, error) 
 		Membership: make([][]core.EpochChange, c.N),
 		Rosters:    make([][]int, c.N),
 	}
-	for i, nd := range nodes {
-		i := i
-		err := nd.Inspect(ctx, func(w *core.Worker) {
-			out.Iters[i] = w.Iter()
-			out.Stats[i] = w.Stats()
-			out.States[i] = w.State()
-			out.Membership[i] = w.MembershipLog()
-			out.Rosters[i] = w.Members()
-		})
-		if err != nil {
-			return nil, fmt.Errorf("testkit: churn realtime snapshot: %w", err)
+	// Settled: the leaver has left, every survivor spent its budget.
+	err = runGroup(ctx, gc, func(i int, w *core.Worker) bool {
+		if i == c.Leaver {
+			return w.State() == core.StateLeft
 		}
+		return w.Iter() == c.Steps
+	}, func(i int, w *core.Worker) {
+		out.Iters[i] = w.Iter()
+		out.Stats[i] = w.Stats()
+		out.States[i] = w.State()
+		out.Membership[i] = w.MembershipLog()
+		out.Rosters[i] = w.Members()
+	})
+	if err != nil {
+		return nil, err
 	}
-	cancel()
-	wg.Wait()
-	for i, nd := range nodes {
-		if !nd.FlushSends(5 * time.Second) {
-			return nil, fmt.Errorf("testkit: node %d send queues never drained", i)
-		}
-	}
-	for _, tr := range transports {
-		if err := tr.Close(); err != nil {
-			return nil, err
-		}
-	}
-	out.FifoDrops = reg.Counter("realtime.fifo_drops").Load()
+	out.FifoDrops = gc.Metrics.Counter("realtime.fifo_drops").Load()
 	return out, nil
 }

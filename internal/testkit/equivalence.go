@@ -3,7 +3,6 @@ package testkit
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dlion/internal/cluster"
@@ -28,7 +27,7 @@ import (
 type EquivalenceConfig struct {
 	N      int    // workers (>= 2)
 	Steps  int64  // iterations per worker (the MaxIters budget)
-	Seed   uint64 // data + partition seed; replicas init from Seed+1000
+	Seed   uint64 // data + partition seed; replicas init from nn.ReplicaSeed(Seed)
 	Sparse bool   // Max-N (GQ) selection instead of dense Full exchange
 
 	// Quant fixes the wire precision every worker sends at (grad.PrecF32,
@@ -94,10 +93,9 @@ func (c EquivalenceConfig) system() core.Config {
 	}
 }
 
-// workerSystem is worker id's final core config: the shared system with the
-// per-worker precision override applied.
-func (c EquivalenceConfig) workerSystem(id int) core.Config {
-	sys := c.system()
+// workerSystem derives worker id's core config from the shared system:
+// QuantMix, when set, fixes its wire precision.
+func (c EquivalenceConfig) workerSystem(id int, sys core.Config) core.Config {
 	if c.QuantMix != nil {
 		sys.Quant.Precision = c.QuantMix[id]
 	}
@@ -111,8 +109,7 @@ func (c EquivalenceConfig) dataConfig() data.Config {
 }
 
 func (c EquivalenceConfig) spec() nn.Spec {
-	// Mirrors cluster.Run's replica-init convention: spec seed = Seed+1000.
-	return nn.CipherSpec(1, 8, 8, 3, c.Seed+1000)
+	return nn.CipherSpec(1, 8, 8, 3, nn.ReplicaSeed(c.Seed))
 }
 
 func (c EquivalenceConfig) validate() error {
@@ -126,6 +123,47 @@ func (c EquivalenceConfig) validate() error {
 	return nil
 }
 
+// clusterConfig is the workload on the discrete-event simulator.
+//
+// Round time ≈ overhead + perSample·LBS/capacity + transfer; with the
+// constants below one SyncFull round is well under a virtual second, so the
+// horizon leaves generous slack for Steps rounds.
+func (c EquivalenceConfig) clusterConfig() cluster.Config {
+	horizon := float64(c.Steps)*2 + 20
+	computes := make([]*simcompute.Compute, c.N)
+	for i := range computes {
+		computes[i] = simcompute.New(simcompute.Constant(12),
+			simcompute.CostModel{Overhead: 0.05, PerSample: 0.5}, uint64(i))
+	}
+	return cluster.Config{
+		System:     c.system(),
+		Model:      c.spec(),
+		Data:       c.dataConfig(),
+		N:          c.N,
+		Computes:   computes,
+		Network:    simnet.Uniform(c.N, simcompute.Constant(200), 0.001),
+		Horizon:    horizon,
+		EvalPeriod: horizon, // evaluation is read-only; keep it out of the way
+		Seed:       c.Seed,
+		PerWorker:  c.workerSystem,
+	}
+}
+
+// groupConfig is the same workload over wall time: cluster.Run's data
+// config, Partition seed and replica-init seed, one node per worker.
+func (c EquivalenceConfig) groupConfig(dial func(int) (realtime.Transport, error)) (realtime.GroupConfig, error) {
+	train, _, err := data.Generate(c.dataConfig())
+	if err != nil {
+		return realtime.GroupConfig{}, err
+	}
+	shards, err := data.Partition(train, c.N, c.Seed)
+	if err != nil {
+		return realtime.GroupConfig{}, err
+	}
+	return realtime.GroupConfig{N: c.N, System: c.system(),
+		Spec: c.spec(), Shards: shards, Dial: dial, PerWorker: c.workerSystem}, nil
+}
+
 // RunSim executes the workload on the discrete-event simulator via
 // cluster.Run and returns the final weights. Kernel execution is forced
 // into deterministic-reduction mode for the duration of the run.
@@ -134,34 +172,7 @@ func RunSim(c EquivalenceConfig) (*EquivalenceResult, error) {
 		return nil, err
 	}
 	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
-
-	// Round time ≈ overhead + perSample·LBS/capacity + transfer; with the
-	// constants below one SyncFull round is well under a virtual second,
-	// so the horizon leaves generous slack for Steps rounds.
-	horizon := float64(c.Steps)*2 + 20
-	computes := make([]*simcompute.Compute, c.N)
-	for i := range computes {
-		computes[i] = simcompute.New(simcompute.Constant(12),
-			simcompute.CostModel{Overhead: 0.05, PerSample: 0.5}, uint64(i))
-	}
-	clusterCfg := cluster.Config{
-		System:     c.system(),
-		Model:      nn.CipherSpec(1, 8, 8, 3, 0), // seed overwritten to Seed+1000 by cluster.Run
-		Data:       c.dataConfig(),
-		N:          c.N,
-		Computes:   computes,
-		Network:    simnet.Uniform(c.N, simcompute.Constant(200), 0.001),
-		Horizon:    horizon,
-		EvalPeriod: horizon, // evaluation is read-only; keep it out of the way
-		Seed:       c.Seed,
-	}
-	if c.QuantMix != nil {
-		clusterCfg.PerWorker = func(id int, wc core.Config) core.Config {
-			wc.Quant.Precision = c.QuantMix[id]
-			return wc
-		}
-	}
-	res, err := cluster.Run(clusterCfg)
+	res, err := cluster.Run(c.clusterConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -177,102 +188,65 @@ func RunSim(c EquivalenceConfig) (*EquivalenceResult, error) {
 }
 
 // RunRealtime executes the same workload over wall time: one realtime.Node
-// per worker, all connected through an in-process broker. It mirrors
-// cluster.Run's setup exactly — same data config, same Partition seed,
-// same replica-init seed — then polls each node (on its event loop, via
-// Inspect) until the iteration budget is spent and every peer's final
-// gradients have landed, and snapshots the weights before shutdown.
+// per worker, all connected through an in-process broker. It polls each
+// node on its event loop until the iteration budget is spent and every
+// peer's final gradients have landed, and snapshots the weights before
+// shutdown.
 func RunRealtime(ctx context.Context, c EquivalenceConfig) (*EquivalenceResult, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	defer tensor.SetDeterministic(tensor.SetDeterministic(true))
 
-	train, _, err := data.Generate(c.dataConfig())
-	if err != nil {
-		return nil, err
-	}
-	shards, err := data.Partition(train, c.N, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-
 	b := queue.NewBroker()
 	defer b.Close()
-	nodes := make([]*realtime.Node, c.N)
-	for i := range nodes {
-		nodes[i], err = realtime.NewNode(realtime.Config{
-			ID: i, N: c.N, System: c.workerSystem(i), Spec: c.spec(),
-			Shard: shards[i], Transport: realtime.NewBrokerTransport(b, i),
-		})
-		if err != nil {
-			return nil, err
-		}
+	gc, err := c.groupConfig(func(id int) (realtime.Transport, error) {
+		return realtime.NewBrokerTransport(b, id), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	runErr := make(chan error, c.N)
-	for _, nd := range nodes {
-		wg.Add(1)
-		go func(nd *realtime.Node) {
-			defer wg.Done()
-			if err := nd.Run(runCtx); err != nil {
-				runErr <- err
-			}
-		}(nd)
-	}
-
 	// A node is settled when it spent its own budget AND heard every
 	// peer's gradient for every round — one TypeGradient per peer per
 	// iteration is the only traffic in this configuration, so the count
 	// is exact: (N-1)·Steps.
 	wantMsgs := int64(c.N-1) * c.Steps
-	settled := func(nd *realtime.Node) (bool, error) {
-		var done bool
-		err := nd.Inspect(ctx, func(w *core.Worker) {
-			done = w.Iter() == c.Steps && w.Stats().MsgsRecvd == wantMsgs
-		})
-		return done, err
-	}
-	for _, nd := range nodes {
-		for {
-			done, err := settled(nd)
-			if err != nil {
-				return nil, fmt.Errorf("testkit: realtime poll: %w", err)
-			}
-			if done {
-				break
-			}
-			select {
-			case err := <-runErr:
-				return nil, fmt.Errorf("testkit: realtime node: %w", err)
-			case <-ctx.Done():
-				return nil, fmt.Errorf("testkit: realtime run: %w", ctx.Err())
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}
-
-	// Everything settled: snapshot on each node's event loop, then stop.
 	out := &EquivalenceResult{
 		Weights: make([]map[string]*tensor.Tensor, c.N),
 		Iters:   make([]int64, c.N),
 		Stats:   make([]core.Stats, c.N),
 	}
-	for i, nd := range nodes {
-		i := i
-		err := nd.Inspect(ctx, func(w *core.Worker) {
-			out.Weights[i] = w.Model().Weights()
-			out.Iters[i] = w.Iter()
-			out.Stats[i] = w.Stats()
-		})
-		if err != nil {
-			return nil, fmt.Errorf("testkit: realtime snapshot: %w", err)
-		}
+	err = runGroup(ctx, gc, func(_ int, w *core.Worker) bool {
+		return w.Iter() == c.Steps && w.Stats().MsgsRecvd == wantMsgs
+	}, func(i int, w *core.Worker) {
+		out.Weights[i] = w.Model().Weights()
+		out.Iters[i] = w.Iter()
+		out.Stats[i] = w.Stats()
+	})
+	if err != nil {
+		return nil, err
 	}
-	cancel()
-	wg.Wait()
 	return out, nil
 }
+
+// runGroup runs gc's nodes until settled holds on every one, snapshots
+// each on its event loop, and stops the group.
+func runGroup(ctx context.Context, gc realtime.GroupConfig, settled func(int, *core.Worker) bool, snapshot func(int, *core.Worker)) error {
+	g, err := realtime.NewGroup(gc)
+	if err != nil {
+		return err
+	}
+	defer g.Stop(flushTimeout)
+	g.Start(ctx)
+	if err := g.Await(ctx, settled); err != nil {
+		return fmt.Errorf("testkit: realtime run: %w", err)
+	}
+	if err := g.Inspect(ctx, snapshot); err != nil {
+		return fmt.Errorf("testkit: realtime snapshot: %w", err)
+	}
+	return g.Stop(flushTimeout)
+}
+
+// flushTimeout bounds how long a stopping realtime run waits for its send
+// FIFOs to drain.
+const flushTimeout = 5 * time.Second

@@ -26,7 +26,7 @@ type ReplayConfig struct {
 	Workers   int               // worker-group size (>= 2)
 	Worker    int               // the replica whose weights are checkpointed
 	Steps     int64             // iterations per worker
-	Seed      uint64            // data + partition seed (replicas init from Seed+1000)
+	Seed      uint64            // data + partition seed (replicas init from nn.ReplicaSeed(Seed))
 	Sparse    bool              // Max-N sparse exchange instead of dense
 	Quant     string            // wire precision: "", "f16", or "i8"
 }
@@ -95,7 +95,7 @@ func CheckpointSegment(ctx context.Context, rc ReplayConfig, parent *lineage.Man
 	if err := model.SetWeights(weights); err != nil {
 		return nil, nil, fmt.Errorf("testkit: checkpoint segment: %w", err)
 	}
-	cfg := ec.workerSystem(rc.Worker).Fingerprint()
+	cfg := ec.workerSystem(rc.Worker, ec.system()).Fingerprint()
 	man := &lineage.Manifest{
 		Schema:     lineage.Schema,
 		Model:      model.ModelName,
@@ -158,7 +158,7 @@ func Audit(ctx context.Context, man *lineage.Manifest, substrate lineage.Substra
 		return err
 	}
 	if man.ConfigHash != 0 {
-		cfg := ec.workerSystem(rc.Worker).Fingerprint()
+		cfg := ec.workerSystem(rc.Worker, ec.system()).Fingerprint()
 		if got := lineage.Fingerprint(cfg); got != man.ConfigHash {
 			return fmt.Errorf("testkit: audit: config fingerprint %s, manifest commits to %s (config drift: %q)",
 				got, man.ConfigHash, cfg)
